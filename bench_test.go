@@ -20,7 +20,6 @@ import (
 	"readduo/internal/cell"
 	"readduo/internal/drift"
 	"readduo/internal/ecp"
-	"readduo/internal/engine"
 	"readduo/internal/lwt"
 	"readduo/internal/readout"
 	"readduo/internal/reliability"
@@ -420,47 +419,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(benchBudget*4), "instrs/op")
-}
-
-// BenchmarkSimulatorThroughputParallel measures the same end-to-end
-// simulation on a 16-bank controller under each event engine. The two
-// variants are distinct rows of one baseline for the plain regression
-// gate; to state a speedup, split each side into its own document and
-// let `benchjson compare -cross-cohort` pair them by engine-normalized
-// name. The shard count rides in the name without a trailing "-<int>"
-// because benchjson strips that form as a GOMAXPROCS suffix. On a
-// multi-core host the parallel engine's window fan-out is the speedup
-// being claimed; on a single core it degenerates to the serial order
-// (bit-identical results either way — see the differential tests in
-// internal/sim).
-func BenchmarkSimulatorThroughputParallel(b *testing.B) {
-	bench, ok := trace.ByName("gcc")
-	if !ok {
-		b.Fatal("gcc missing")
-	}
-	variants := []struct {
-		name   string
-		kind   engine.Kind
-		shards int
-	}{
-		{"engine=serial", engine.Serial, 0},
-		{"engine=parallel8", engine.Parallel, 8},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			cfg := sim.DefaultConfig(bench)
-			cfg.CPU.InstrBudget = benchBudget
-			cfg.Mem.Banks = 16
-			cfg.Mem.Engine = v.kind
-			cfg.Mem.EngineShards = v.shards
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(cfg, sim.LWT(4, true)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(benchBudget*4), "instrs/op")
-		})
-	}
 }
 
 // --- Ablation benchmarks: the design choices DESIGN.md calls out ---

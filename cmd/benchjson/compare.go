@@ -174,13 +174,11 @@ func runCompare(args []string, stdout, stderr io.Writer) int {
 		"with -governance, the minimum runs a benchmark claim must be backed by")
 	maxSpread := fs.Float64("max-spread", 2.0,
 		"with -governance, warn when a benchmark's per-seed spread (max/min of the compared metric) exceeds this ratio; 0 disables")
-	crossCohort := fs.Bool("cross-cohort", false,
-		"pair benchmarks by engine-normalized name (/engine=... stripped) across differing cohorts and report a speedup column — for serial-vs-parallel engine comparisons")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() != 2 {
-		fmt.Fprintln(stderr, "usage: benchjson compare [-threshold 1.25] [-metric ns/op] [-governance] [-min-samples 5] [-max-spread 2.0] [-cross-cohort] old.json new.json")
+		fmt.Fprintln(stderr, "usage: benchjson compare [-threshold 1.25] [-metric ns/op] [-governance] [-min-samples 5] [-max-spread 2.0] old.json new.json")
 		return 2
 	}
 	oldDoc, err := readDoc(fs.Arg(0))
@@ -194,11 +192,7 @@ func runCompare(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *governance {
-		check := CheckGovernance
-		if *crossCohort {
-			check = CheckCrossCohortGovernance
-		}
-		if violations := check(oldDoc, newDoc, *minSamples); len(violations) > 0 {
+		if violations := CheckGovernance(oldDoc, newDoc, *minSamples); len(violations) > 0 {
 			fmt.Fprintln(stderr, "benchjson: governance refused the comparison:")
 			for _, v := range violations {
 				fmt.Fprintln(stderr, "  -", v)
@@ -216,42 +210,18 @@ func runCompare(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	var deltas []Delta
-	var onlyOld, onlyNew []string
-	var regressed bool
-	if *crossCohort {
-		var err error
-		deltas, onlyOld, onlyNew, regressed, err = CompareCrossCohort(oldDoc, newDoc, *metric, *threshold)
-		if err != nil {
-			fmt.Fprintln(stderr, "benchjson:", err)
-			return 2
-		}
-	} else {
-		deltas, onlyOld, onlyNew, regressed = Compare(oldDoc, newDoc, *metric, *threshold)
-	}
+	deltas, onlyOld, onlyNew, regressed := Compare(oldDoc, newDoc, *metric, *threshold)
 	if len(deltas) == 0 {
 		fmt.Fprintln(stderr, "benchjson: no common benchmarks report", *metric)
 		return 2
 	}
-	if *crossCohort {
-		fmt.Fprintf(stdout, "%-44s %14s %14s %8s %8s\n", "benchmark", "old "+*metric, "new "+*metric, "ratio", "speedup")
-	} else {
-		fmt.Fprintf(stdout, "%-44s %14s %14s %8s\n", "benchmark", "old "+*metric, "new "+*metric, "ratio")
-	}
+	fmt.Fprintf(stdout, "%-44s %14s %14s %8s\n", "benchmark", "old "+*metric, "new "+*metric, "ratio")
 	for _, d := range deltas {
 		mark := ""
 		if d.Regressed {
 			mark = "  REGRESSED"
 		}
-		if *crossCohort {
-			speedup := math.Inf(1)
-			if d.Ratio > 0 {
-				speedup = 1 / d.Ratio
-			}
-			fmt.Fprintf(stdout, "%-44s %14.1f %14.1f %7.3fx %7.2fx%s\n", d.Name, d.Old, d.New, d.Ratio, speedup, mark)
-		} else {
-			fmt.Fprintf(stdout, "%-44s %14.1f %14.1f %7.3fx%s\n", d.Name, d.Old, d.New, d.Ratio, mark)
-		}
+		fmt.Fprintf(stdout, "%-44s %14.1f %14.1f %7.3fx%s\n", d.Name, d.Old, d.New, d.Ratio, mark)
 	}
 	for _, n := range onlyOld {
 		fmt.Fprintf(stdout, "%-44s only in old baseline\n", n)

@@ -137,6 +137,12 @@ func splitAddrs(s string) []string {
 // been fully drained. started, when non-nil, receives the bound address
 // once the listener accepts (tests use it to drive real requests).
 func run(cfg config, started func(addr string)) error {
+	// Arm the drain before anything listens: once started reports
+	// readiness a supervisor may send SIGTERM at any moment, and with no
+	// handler installed Go's default action kills the process outright.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+
 	// The service always runs with a live registry: its metrics are
 	// scraped via the debug listener while serving, not reported at exit.
 	session, err := obs.Start(obs.Options{
@@ -186,8 +192,6 @@ func run(cfg config, started func(addr string)) error {
 		started(srv.Addr())
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	<-ctx.Done()
 	stop() // restore default signal handling: a second signal kills hard
 

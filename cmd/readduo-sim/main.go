@@ -13,8 +13,7 @@
 //
 //	readduo-sim [-benchmarks=mcf,sphinx3] [-schemes=prior|readduo|all|<list>]
 //	            [-budget=2000000] [-seed=1] [-report=time|energy|lifetime|all]
-//	            [-parallel=N] [-engine=serial|parallel] [-engine-shards=S]
-//	            [-banks=N] [-journal=run.jsonl] [-resume] [-json]
+//	            [-parallel=N] [-banks=N] [-journal=run.jsonl] [-resume] [-json]
 //
 // -schemes also accepts an arbitrary design-point list drawn from the
 // scheme registry's spec grammar, e.g. "Ideal,LWT-8,Select-4:2" or
@@ -39,7 +38,6 @@ import (
 
 	"readduo/internal/campaign"
 	_ "readduo/internal/corpus" // register corpus:* workload scenarios
-	"readduo/internal/engine"
 	"readduo/internal/obs"
 	"readduo/internal/report"
 	"readduo/internal/sim"
@@ -58,8 +56,6 @@ type options struct {
 	jsonOut     bool
 	emitBench   bool
 	parallel    int
-	engineKind  string
-	engineShard int
 	banks       int
 	journalPath string
 	resume      bool
@@ -85,10 +81,6 @@ func main() {
 	flag.BoolVar(&opts.emitBench, "emit-bench", false,
 		"emit results as go-test benchmark lines (one run per replicate seed) for benchjson governance")
 	flag.IntVar(&opts.parallel, "parallel", 0, "worker pool size (0 = GOMAXPROCS)")
-	flag.StringVar(&opts.engineKind, "engine", "serial",
-		"memory-controller event engine: serial (reference) or parallel (bit-identical, multi-core)")
-	flag.IntVar(&opts.engineShard, "engine-shards", 0,
-		"parallel-engine shards per job (0 = auto; clamped so jobs x shards <= GOMAXPROCS)")
 	flag.IntVar(&opts.banks, "banks", 0, "override the PCM bank count (0 = config default)")
 	flag.StringVar(&opts.journalPath, "journal", "", "append completed jobs to this JSONL journal")
 	flag.BoolVar(&opts.resume, "resume", false, "skip jobs already completed in -journal")
@@ -276,16 +268,10 @@ func run(ctx context.Context, opts options) error {
 	defer session.Close()
 	session.StartCollector()
 
-	kind, err := engine.ParseKind(opts.engineKind)
-	if err != nil {
-		return err
-	}
 	campaignOpts := campaign.Options{
-		Parallel:     opts.parallel,
-		Telemetry:    session.Registry,
-		Tracer:       session.Tracer,
-		Engine:       kind,
-		EngineShards: opts.engineShard,
+		Parallel:  opts.parallel,
+		Telemetry: session.Registry,
+		Tracer:    session.Tracer,
 	}
 	if opts.progress != nil {
 		campaignOpts.Progress = func(format string, args ...any) {
@@ -345,7 +331,7 @@ func run(ctx context.Context, opts options) error {
 	}
 
 	if opts.emitBench {
-		return emitBench(os.Stdout, spec, matrices, engineStamp(kind, opts.engineShard))
+		return emitBench(os.Stdout, spec, matrices)
 	}
 	if opts.jsonOut {
 		return writeJSON(os.Stdout, spec, matrices, outcome, opts)
@@ -359,19 +345,6 @@ func run(ctx context.Context, opts options) error {
 // mangle: '-' (stripped as a GOMAXPROCS suffix) and spaces.
 var benchNameSanitizer = strings.NewReplacer("-", "_", " ", "_")
 
-// engineStamp marks non-serial emit-bench baselines in the pkg line so
-// benchjson's cohort hash distinguishes them from serial baselines of the
-// same campaign; `benchjson compare -cross-cohort` pairs the two.
-func engineStamp(kind engine.Kind, shards int) string {
-	if kind == engine.Serial {
-		return ""
-	}
-	if shards > 0 {
-		return fmt.Sprintf("/engine=%s-%d", kind, shards)
-	}
-	return "/engine=" + kind.String()
-}
-
 // emitBench renders the campaign results as `go test -bench` output so
 // benchjson can capture them as a governed baseline. Each replicate
 // seed contributes one run per benchmark line, so a 5-seed campaign
@@ -380,10 +353,10 @@ func engineStamp(kind engine.Kind, shards int) string {
 // exact matrix (budget, seeds, benchmarks, schemes) that produced it.
 // The simulated metrics are deterministic, so baselines compare exactly
 // across machines.
-func emitBench(w io.Writer, spec campaign.Spec, matrices []campaign.SeedMatrix, stamp string) error {
+func emitBench(w io.Writer, spec campaign.Spec, matrices []campaign.SeedMatrix) error {
 	fmt.Fprintf(w, "goos: %s\n", runtime.GOOS)
 	fmt.Fprintf(w, "goarch: %s\n", runtime.GOARCH)
-	fmt.Fprintf(w, "pkg: readduo/campaign/%s%s\n", spec.Fingerprint(), stamp)
+	fmt.Fprintf(w, "pkg: readduo/campaign/%s\n", spec.Fingerprint())
 	for _, sm := range matrices {
 		m := sm.Matrix
 		for i := range m.Benchmarks {

@@ -137,7 +137,7 @@ func TestEmitBench(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := emitBench(&buf, spec, matrices, ""); err != nil {
+		if err := emitBench(&buf, spec, matrices); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

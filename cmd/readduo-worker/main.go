@@ -81,6 +81,12 @@ type config struct {
 // been fully drained. started, when non-nil, receives the bound address
 // once the listener accepts.
 func run(cfg config, started func(addr string)) error {
+	// Arm the drain before anything listens: once started reports
+	// readiness a supervisor may send SIGTERM at any moment, and with no
+	// handler installed Go's default action kills the process outright.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+
 	session, err := obs.Start(obs.Options{
 		Name:              "readduo-worker",
 		ForceRegistry:     true,
@@ -115,8 +121,6 @@ func run(cfg config, started func(addr string)) error {
 		started(wk.Addr())
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	<-ctx.Done()
 	stop() // restore default signal handling: a second signal kills hard
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"os"
+	"os/exec"
 	"strings"
 	"syscall"
 	"testing"
@@ -69,5 +71,47 @@ func TestRunComputesAndDrainsOnSIGTERM(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("run did not drain after SIGTERM")
+	}
+}
+
+// sigtermChildEnv marks a re-executed test binary as a child of
+// TestSIGTERMAtReadinessDrains.
+const sigtermChildEnv = "READDUO_WORKER_SIGTERM_CHILD"
+
+// TestSIGTERMAtReadinessDrains pins the readiness/SIGTERM ordering: a
+// supervisor may signal the instant readiness is reported, and that
+// signal must drain the worker, not kill it. Each round re-executes the
+// test binary as a child whose started callback sends SIGTERM to its own
+// process synchronously; were the handler armed after readiness, Go's
+// default action would kill the child and the round would fail.
+func TestSIGTERMAtReadinessDrains(t *testing.T) {
+	if os.Getenv(sigtermChildEnv) == "1" {
+		err := run(config{
+			addr:           "127.0.0.1:0",
+			workers:        2,
+			computeTimeout: 10 * time.Second,
+			drainTimeout:   10 * time.Second,
+		}, func(string) {
+			if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+				t.Errorf("SIGTERM: %v", err)
+			}
+		})
+		if err != nil {
+			t.Fatalf("run returned %v, want clean drain", err)
+		}
+		return
+	}
+	for round := 0; round < 20; round++ {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSIGTERMAtReadinessDrains$", "-test.count=1")
+		// Under -race the child would otherwise sleep 1s at exit.
+		cmd.Env = append(os.Environ(), sigtermChildEnv+"=1",
+			"GORACE="+os.Getenv("GORACE")+" atexit_sleep_ms=0")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("round %d: child exited with %v:\n%s", round, err, out)
+		}
+		if !bytes.Contains(out, []byte("drained cleanly")) {
+			t.Fatalf("round %d: child did not log a clean drain:\n%s", round, out)
+		}
 	}
 }

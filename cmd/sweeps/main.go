@@ -11,7 +11,6 @@
 //
 //	sweeps [-sweep=k|s|conversion|temp|all|custom] [-budget=2000000] [-seed=1]
 //	       [-benchmarks=mcf,sphinx3,...] [-parallel=N]
-//	       [-engine=serial|parallel] [-engine-shards=S]
 //	       [-schemes=Ideal,LWT-8,Select-4:2]
 //	       [-base=scrubbing] [-temps=250,300,350]
 //
@@ -37,20 +36,11 @@ import (
 
 	"readduo/internal/campaign"
 	_ "readduo/internal/corpus" // register corpus:* workload scenarios
-	"readduo/internal/engine"
 	"readduo/internal/obs"
 	"readduo/internal/report"
 	"readduo/internal/sim"
 	"readduo/internal/trace"
 )
-
-// poolOpts bundles the execution knobs every sweep shares: the worker
-// pool size plus the per-job memory-controller engine selection.
-type poolOpts struct {
-	parallel int
-	engine   engine.Kind
-	shards   int
-}
 
 func main() {
 	sweep := flag.String("sweep", "all", "k, s, conversion, temp, all, or custom")
@@ -58,10 +48,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "campaign seed (per-job seeds are derived from it)")
 	benchList := flag.String("benchmarks", "", "comma-separated workloads (default: full suite)")
 	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
-	engineKind := flag.String("engine", "serial",
-		"memory-controller event engine: serial (reference) or parallel (bit-identical, multi-core)")
-	engineShards := flag.Int("engine-shards", 0,
-		"parallel-engine shards per job (0 = auto; clamped so jobs x shards <= GOMAXPROCS)")
 	schemeList := flag.String("schemes", "",
 		"scheme list for the custom sweep, normalized to the first entry (implies -sweep=custom)")
 	baseScheme := flag.String("base", "scrubbing",
@@ -92,17 +78,9 @@ func main() {
 	}
 	defer session.Close()
 
-	kind, err := engine.ParseKind(*engineKind)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweeps:", err)
-		session.Close()
-		os.Exit(1)
-	}
-	pool := poolOpts{parallel: *parallel, engine: kind, shards: *engineShards}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	runErr := run(ctx, *sweep, *budget, *seed, *benchList, pool, *schemeList, *baseScheme, *tempList, session)
+	runErr := run(ctx, *sweep, *budget, *seed, *benchList, *parallel, *schemeList, *baseScheme, *tempList, session)
 	if err := session.Report(os.Stderr); err != nil && runErr == nil {
 		runErr = err
 	}
@@ -116,13 +94,11 @@ func main() {
 // campaignMatrix runs one sweep's matrix on the campaign engine. On
 // interruption or point failure it writes the completed points to partialTo
 // before returning the error, so finished work is never silently discarded.
-func campaignMatrix(ctx context.Context, spec campaign.Spec, pool poolOpts, partialTo io.Writer, session *obs.Session) (*report.Matrix, error) {
+func campaignMatrix(ctx context.Context, spec campaign.Spec, parallel int, partialTo io.Writer, session *obs.Session) (*report.Matrix, error) {
 	outcome, err := campaign.Run(ctx, spec, campaign.Options{
-		Parallel:     pool.parallel,
-		Telemetry:    session.Registry,
-		Tracer:       session.Tracer,
-		Engine:       pool.engine,
-		EngineShards: pool.shards,
+		Parallel:  parallel,
+		Telemetry: session.Registry,
+		Tracer:    session.Tracer,
 	})
 	if err != nil {
 		return nil, err
@@ -143,7 +119,7 @@ func campaignMatrix(ctx context.Context, spec campaign.Spec, pool poolOpts, part
 	return matrices[0].Matrix, nil
 }
 
-func run(ctx context.Context, sweep string, budget uint64, seed int64, benchList string, pool poolOpts, schemeList, baseScheme, tempList string, session *obs.Session) error {
+func run(ctx context.Context, sweep string, budget uint64, seed int64, benchList string, parallel int, schemeList, baseScheme, tempList string, session *obs.Session) error {
 	benches := trace.Benchmarks()
 	if benchList != "" {
 		benches = benches[:0]
@@ -168,7 +144,7 @@ func run(ctx context.Context, sweep string, budget uint64, seed int64, benchList
 
 	if all || sweep == "k" {
 		ran = true
-		m, err := campaignMatrix(ctx, spec(sim.Ideal(), sim.LWT(2, true), sim.LWT(4, true)), pool, os.Stdout, session)
+		m, err := campaignMatrix(ctx, spec(sim.Ideal(), sim.LWT(2, true), sim.LWT(4, true)), parallel, os.Stdout, session)
 		if err != nil {
 			return err
 		}
@@ -185,7 +161,7 @@ func run(ctx context.Context, sweep string, budget uint64, seed int64, benchList
 
 	if all || sweep == "s" {
 		ran = true
-		m, err := campaignMatrix(ctx, spec(sim.Ideal(), sim.Select(4, 1), sim.Select(4, 2)), pool, os.Stdout, session)
+		m, err := campaignMatrix(ctx, spec(sim.Ideal(), sim.Select(4, 1), sim.Select(4, 2)), parallel, os.Stdout, session)
 		if err != nil {
 			return err
 		}
@@ -202,7 +178,7 @@ func run(ctx context.Context, sweep string, budget uint64, seed int64, benchList
 
 	if all || sweep == "conversion" {
 		ran = true
-		m, err := campaignMatrix(ctx, spec(sim.Ideal(), sim.LWT(4, false), sim.LWT(4, true)), pool, os.Stdout, session)
+		m, err := campaignMatrix(ctx, spec(sim.Ideal(), sim.LWT(4, false), sim.LWT(4, true)), parallel, os.Stdout, session)
 		if err != nil {
 			return err
 		}
@@ -223,7 +199,7 @@ func run(ctx context.Context, sweep string, budget uint64, seed int64, benchList
 		if err != nil {
 			return err
 		}
-		m, err := campaignMatrix(ctx, spec(schemes...), pool, os.Stdout, session)
+		m, err := campaignMatrix(ctx, spec(schemes...), parallel, os.Stdout, session)
 		if err != nil {
 			return err
 		}
@@ -251,7 +227,7 @@ func run(ctx context.Context, sweep string, budget uint64, seed int64, benchList
 		if len(schemes) < 2 {
 			return fmt.Errorf("custom sweep needs at least two schemes, got %d", len(schemes))
 		}
-		m, err := campaignMatrix(ctx, spec(schemes...), pool, os.Stdout, session)
+		m, err := campaignMatrix(ctx, spec(schemes...), parallel, os.Stdout, session)
 		if err != nil {
 			return err
 		}

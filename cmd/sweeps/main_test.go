@@ -14,25 +14,25 @@ import (
 
 // runSweep calls run with the default temperature-sweep knobs, keeping the
 // older test cases readable.
-func runSweep(ctx context.Context, sweep string, budget uint64, seed int64, benchList string, pool poolOpts, schemeList string, session *obs.Session) error {
-	return run(ctx, sweep, budget, seed, benchList, pool, schemeList, "scrubbing", "250,300,350", session)
+func runSweep(ctx context.Context, sweep string, budget uint64, seed int64, benchList string, parallel int, schemeList string, session *obs.Session) error {
+	return run(ctx, sweep, budget, seed, benchList, parallel, schemeList, "scrubbing", "250,300,350", session)
 }
 
 func TestRunSweepValidation(t *testing.T) {
 	ctx := context.Background()
-	if err := runSweep(ctx, "nonesuch", 10_000, 1, "gcc", poolOpts{parallel: 1}, "", new(obs.Session)); err == nil {
+	if err := runSweep(ctx, "nonesuch", 10_000, 1, "gcc", 1, "", new(obs.Session)); err == nil {
 		t.Error("unknown sweep accepted")
 	}
-	if err := runSweep(ctx, "k", 10_000, 1, "nonesuch", poolOpts{parallel: 1}, "", new(obs.Session)); err == nil {
+	if err := runSweep(ctx, "k", 10_000, 1, "nonesuch", 1, "", new(obs.Session)); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if err := runSweep(ctx, "custom", 10_000, 1, "gcc", poolOpts{parallel: 1}, "", new(obs.Session)); err == nil {
+	if err := runSweep(ctx, "custom", 10_000, 1, "gcc", 1, "", new(obs.Session)); err == nil {
 		t.Error("custom sweep without -schemes accepted")
 	}
-	if err := runSweep(ctx, "custom", 10_000, 1, "gcc", poolOpts{parallel: 1}, "Ideal", new(obs.Session)); err == nil {
+	if err := runSweep(ctx, "custom", 10_000, 1, "gcc", 1, "Ideal", new(obs.Session)); err == nil {
 		t.Error("single-scheme custom sweep accepted")
 	}
-	if err := runSweep(ctx, "custom", 10_000, 1, "gcc", poolOpts{parallel: 1}, "Ideal,bogus", new(obs.Session)); err == nil {
+	if err := runSweep(ctx, "custom", 10_000, 1, "gcc", 1, "Ideal,bogus", new(obs.Session)); err == nil {
 		t.Error("bogus custom scheme list accepted")
 	}
 }
@@ -74,7 +74,7 @@ func TestRunTempSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	err := run(context.Background(), "temp", 30_000, 1, "gcc", poolOpts{parallel: 2}, "", "scrubbing", "250,300,350", new(obs.Session))
+	err := run(context.Background(), "temp", 30_000, 1, "gcc", 2, "", "scrubbing", "250,300,350", new(obs.Session))
 	if err != nil {
 		t.Errorf("temp sweep: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestRunSweepSmoke(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	for _, sweep := range []string{"k", "s", "conversion"} {
-		if err := runSweep(context.Background(), sweep, 30_000, 1, "gcc", poolOpts{parallel: 2}, "", new(obs.Session)); err != nil {
+		if err := runSweep(context.Background(), sweep, 30_000, 1, "gcc", 2, "", new(obs.Session)); err != nil {
 			t.Errorf("run(%s): %v", sweep, err)
 		}
 	}
@@ -97,7 +97,7 @@ func TestRunCustomSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	if err := runSweep(context.Background(), "custom", 30_000, 1, "gcc", poolOpts{parallel: 2}, "Ideal,lwt:k=8,Select-8:4", new(obs.Session)); err != nil {
+	if err := runSweep(context.Background(), "custom", 30_000, 1, "gcc", 2, "Ideal,lwt:k=8,Select-8:4", new(obs.Session)); err != nil {
 		t.Errorf("custom sweep: %v", err)
 	}
 }
@@ -119,7 +119,7 @@ func TestCampaignMatrixReportsPartialProgress(t *testing.T) {
 		},
 	}
 	var partial bytes.Buffer
-	_, err := campaignMatrix(context.Background(), spec, poolOpts{parallel: 2}, &partial, new(obs.Session))
+	_, err := campaignMatrix(context.Background(), spec, 2, &partial, new(obs.Session))
 	if err == nil || !strings.Contains(err.Error(), "failed") {
 		t.Fatalf("poisoned sweep error = %v", err)
 	}
@@ -146,7 +146,7 @@ func TestCampaignMatrixInterrupted(t *testing.T) {
 		Budget:     10_000,
 	}
 	var partial bytes.Buffer
-	_, err := campaignMatrix(ctx, spec, poolOpts{parallel: 1}, &partial, new(obs.Session))
+	_, err := campaignMatrix(ctx, spec, 1, &partial, new(obs.Session))
 	if err == nil || !strings.Contains(err.Error(), "interrupted") {
 		t.Fatalf("cancelled sweep error = %v", err)
 	}

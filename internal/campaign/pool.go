@@ -83,6 +83,11 @@ func (p *Pool) Submit(ctx context.Context, fn func(worker int)) error {
 	if p.closed {
 		return ErrPoolClosed
 	}
+	// select picks among ready cases at random, so with a worker idle a
+	// submission whose ctx is already done would still run half the time.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	p.depth.Add(1)
 	select {
 	case p.tasks <- poolTask{fn: fn, enqueued: time.Now()}:

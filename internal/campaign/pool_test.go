@@ -88,6 +88,26 @@ func TestPoolSubmitHonorsContext(t *testing.T) {
 	}
 }
 
+// TestPoolSubmitCancelledNeverRuns: with a worker idle and ready to
+// receive, a Submit whose context is already cancelled must refuse every
+// time, so a campaign cancelled before it starts runs no job.
+func TestPoolSubmitCancelledNeverRuns(t *testing.T) {
+	p := NewPool(1, 0, nil)
+	defer p.Close()
+	warm := make(chan struct{})
+	if err := p.Submit(context.Background(), func(int) { close(warm) }); err != nil {
+		t.Fatal(err)
+	}
+	<-warm
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 1000; i++ {
+		if err := p.Submit(ctx, func(int) {}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Submit %d with a cancelled context = %v, want context.Canceled", i, err)
+		}
+	}
+}
+
 // TestPoolCloseDrainsAndRejects: Close executes everything already
 // admitted, then both admission disciplines refuse with ErrPoolClosed,
 // and a second Close is a no-op.

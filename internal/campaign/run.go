@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"readduo/internal/engine"
 	"readduo/internal/sim"
 	"readduo/internal/telemetry"
 )
@@ -39,15 +38,6 @@ type Options struct {
 	// batch-tool behavior — a drain finishes what it started — while a
 	// serving layer with per-request deadlines wants the abort.
 	CancelInFlight bool
-	// Engine selects each job's memory-controller event engine; the zero
-	// value is the serial reference.
-	Engine engine.Kind
-	// EngineShards is the per-job shard request for the parallel engine.
-	// The run clamps it so Parallel jobs × shards never oversubscribe
-	// GOMAXPROCS (engine.ClampShards); a clamp increments the
-	// "engine.shards.clamped" telemetry counter. <= 0 asks for the
-	// largest per-job count the core budget allows.
-	EngineShards int
 }
 
 // campaignProbes is the scheduler's own instrumentation. All fields are
@@ -107,17 +97,6 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 	progress := opts.Progress
 	if progress == nil {
 		progress = func(string, ...any) {}
-	}
-	if opts.Engine == engine.Parallel {
-		// Oversubscription guard: P concurrent jobs of S shards each must
-		// fit the core budget, or the shard pools just preempt each other.
-		shards, clamped := engine.ClampShards(opts.EngineShards, parallel, runtime.GOMAXPROCS(0))
-		if clamped {
-			progress("campaign: engine shards clamped %d -> %d (%d jobs on %d procs)",
-				opts.EngineShards, shards, parallel, runtime.GOMAXPROCS(0))
-			opts.Telemetry.Counter("engine.shards.clamped").Inc()
-		}
-		opts.EngineShards = shards
 	}
 	every := opts.ProgressEvery
 	if every <= 0 {
@@ -273,8 +252,6 @@ func runJob(ctx context.Context, spec Spec, job Job, worker int, tel campaignPro
 	}
 	cfg.Seed = job.Seed
 	cfg.Telemetry = opts.Telemetry
-	cfg.Mem.Engine = opts.Engine
-	cfg.Mem.EngineShards = opts.EngineShards
 	if spec.Configure != nil {
 		spec.Configure(job, &cfg)
 	}

@@ -105,8 +105,8 @@ type Cluster struct {
 	cycPS   int64
 	waiting []waitEntry // outstanding reads; len <= Cores*MLP
 
-	// stalledWrites counts cores in coreStalledWrite so RetryAt and
-	// HasStalledWrites skip the core scan in the common all-flowing case.
+	// stalledWrites counts cores in coreStalledWrite so RetryAt skips the
+	// core scan in the common all-flowing case.
 	stalledWrites int
 
 	// Cached deadlines, recomputed lazily after any state change: nextAt
@@ -190,12 +190,6 @@ func (cl *Cluster) fetch(i int, now int64) error {
 	cl.nextValid = false
 	return nil
 }
-
-// CyclePS returns the core cycle time in picoseconds. A core woken by a
-// read completion at time x issues its next access no earlier than x +
-// CyclePS (fetch charges at least one cycle), the slack the parallel
-// engine's conservative lookahead window is built from.
-func (cl *Cluster) CyclePS() int64 { return cl.cycPS }
 
 // NextActionAt returns the earliest time any core wants to act, or ok=false
 // when every core is blocked or done. Cores stalled on a full write queue
@@ -320,11 +314,6 @@ func (cl *Cluster) RetryAt(now int64) {
 			cl.nextValid = false
 		}
 	}
-}
-
-// HasStalledWrites reports whether any core waits on write-queue space.
-func (cl *Cluster) HasStalledWrites() bool {
-	return cl.stalledWrites > 0
 }
 
 // TotalRetired sums retired instructions across cores.

@@ -179,8 +179,8 @@ func TestWriteBackpressureStallsAndRetries(t *testing.T) {
 	if cl.AllDone() {
 		t.Fatal("core done despite rejected write")
 	}
-	if !cl.HasStalledWrites() {
-		t.Fatal("stalled write not reported")
+	if cl.stalledWrites != 1 {
+		t.Fatalf("stalledWrites = %d, want 1", cl.stalledWrites)
 	}
 	// A stalled core must not propose an action — that would livelock the
 	// event loop at a frozen timestamp.
@@ -196,8 +196,8 @@ func TestWriteBackpressureStallsAndRetries(t *testing.T) {
 	if mem.writes != 1 {
 		t.Errorf("writes = %d after retry", mem.writes)
 	}
-	if cl.HasStalledWrites() {
-		t.Error("stall not cleared after successful retry")
+	if cl.stalledWrites != 0 {
+		t.Errorf("stalledWrites = %d after successful retry, want 0", cl.stalledWrites)
 	}
 }
 

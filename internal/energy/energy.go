@@ -108,32 +108,6 @@ func (a *Accounting) AddScrubRead(cells int, voltage bool) {
 // AddScrubWrite charges a scrub rewrite.
 func (a *Accounting) AddScrubWrite(cellsWritten int) { a.scrubWriteCells += uint64(cellsWritten) }
 
-// Counts is a detached bundle of the raw cell counters an Accounting
-// accumulates. The parallel memory-controller engine charges each bank's
-// events into a private Counts and merges them at the window barrier;
-// because every counter is a plain sum, the merge is exactly equal to
-// having charged the accounting event by event.
-type Counts struct {
-	RReadCells      uint64
-	MReadCells      uint64
-	WriteCells      uint64
-	FlagBits        uint64
-	ScrubReadCellsR uint64
-	ScrubReadCellsM uint64
-	ScrubWriteCells uint64
-}
-
-// AddCounts folds a detached counter bundle into the accounting.
-func (a *Accounting) AddCounts(c Counts) {
-	a.rReadCells += c.RReadCells
-	a.mReadCells += c.MReadCells
-	a.writeCells += c.WriteCells
-	a.flagBits += c.FlagBits
-	a.scrubReadCellsR += c.ScrubReadCellsR
-	a.scrubReadCellsM += c.ScrubReadCellsM
-	a.scrubWriteCells += c.ScrubWriteCells
-}
-
 // Breakdown itemizes accumulated dynamic energy in picojoules.
 type Breakdown struct {
 	ReadPJ       float64

@@ -14,9 +14,7 @@ import (
 	"time"
 
 	"readduo/internal/energy"
-	"readduo/internal/engine"
 	"readduo/internal/sense"
-	"readduo/internal/telemetry"
 )
 
 // PS converts a time.Duration to picoseconds.
@@ -48,21 +46,6 @@ type Config struct {
 	// ScrubInterval is S — every line is visited once per interval.
 	// Zero disables scrubbing.
 	ScrubInterval time.Duration
-	// Engine selects the controller event engine. The zero value is
-	// engine.Serial — the reference loop — so existing configurations,
-	// journals, and goldens are untouched. engine.Parallel enables the
-	// conservative windowed engine (AdvanceWindow), bit-identical to
-	// serial by construction (DESIGN §14).
-	Engine engine.Kind
-	// EngineShards is the parallel engine's worker count; values below 2
-	// keep the window machinery but process banks inline. Ignored by the
-	// serial engine. Callers sharing cores across jobs should clamp via
-	// engine.ClampShards.
-	EngineShards int
-	// Telemetry, when non-nil, receives the parallel engine's probes
-	// (window counts, barrier wait, per-shard bank loads) under the
-	// "memctrl.engine" scope. Nil disables them at one pointer check.
-	Telemetry *telemetry.Registry
 }
 
 // DefaultConfig returns the Table VIII-style baseline: 4 GB of MLC PCM in 8
@@ -295,16 +278,6 @@ type Controller struct {
 	minOK    bool
 	rearmAny bool
 	minValid bool
-
-	// par holds the parallel engine's state (shard pool, per-bank delta
-	// scratch); nil on serial controllers, so the serial hot path pays
-	// nothing for the feature.
-	par *parEngine
-
-	// minReadLatPS is the smallest demand-read latency the timing model
-	// can produce, used by EarliestDemandReadBound's conservative lower
-	// bound on queued (not yet dispatched) reads.
-	minReadLatPS int64
 }
 
 // NewController builds a controller. The energy accounting sink is
@@ -336,45 +309,19 @@ func NewController(cfg Config, acct *energy.Accounting, hook ScrubHook) (*Contro
 		}
 		c.refreshBank(b)
 	}
-	c.minReadLatPS = minReadLatencyPS(cfg.Timing)
-	if cfg.Engine == engine.Parallel {
-		c.par = newParEngine(c)
-	}
 	return c, nil
 }
 
-// minReadLatencyPS returns the smallest positive demand-read latency
-// across the sensing modes.
-func minReadLatencyPS(t sense.Timing) int64 {
-	best := int64(0)
-	for _, m := range []sense.Mode{sense.ModeR, sense.ModeM, sense.ModeRM} {
-		if lat := PS(t.Latency(m)); lat > 0 && (best == 0 || lat < best) {
-			best = lat
-		}
-	}
-	if best == 0 {
-		best = 1
-	}
-	return best
-}
+// Close is a no-op: a Controller holds no goroutines or other resources.
+// It stays only for callers that still defer it (perfbench's controller
+// replay); new code need not call it.
+func (c *Controller) Close() {}
 
-// Close retires the parallel engine's worker pool; serial controllers
-// no-op. Idempotent — every construction site should defer it.
-func (c *Controller) Close() {
-	if c.par != nil {
-		c.par.close()
-	}
-}
-
-// ParallelEngine reports whether this controller runs the conservative
-// parallel engine (and therefore supports windowed AdvanceWindow calls).
-func (c *Controller) ParallelEngine() bool { return c.par != nil }
-
-// refreshLocal recomputes the bank's cached next-event state from its op
-// state. It touches only the bank itself, so the parallel engine's shards
-// may call it concurrently on distinct banks; the serial path reaches it
-// through refreshBank, which also invalidates the controller minimum.
-func (b *bank) refreshLocal() {
+// refreshBank recomputes the bank's cached next-event state from its op
+// state and invalidates the controller-level minimum. Every mutation path
+// (dispatch, completion, scrub arrival, cancellation) funnels through
+// dispatch, which calls this last.
+func (c *Controller) refreshBank(b *bank) {
 	at, ok := int64(0), false
 	if b.hasInflight {
 		at, ok = b.busyUntil, true
@@ -384,14 +331,6 @@ func (b *bank) refreshLocal() {
 	}
 	b.eventAt, b.eventOK = at, ok
 	b.rearm = !b.hasInflight && (b.readQ.n > 0 || b.writeQ.n > 0 || b.scrubPending.n > 0)
-}
-
-// refreshBank recomputes the bank's cached next-event state from its op
-// state and invalidates the controller-level minimum. Every mutation path
-// (dispatch, completion, scrub arrival, cancellation) funnels through
-// dispatch, which calls this last.
-func (c *Controller) refreshBank(b *bank) {
-	b.refreshLocal()
 	c.minValid = false
 }
 

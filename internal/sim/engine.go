@@ -220,7 +220,6 @@ func RunContext(ctx context.Context, cfg Config, scheme Scheme) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	defer e.ctrl.Close() // retires the parallel engine's shard pool; serial no-op
 	if err := e.loop(ctx); err != nil {
 		return nil, err
 	}
@@ -249,9 +248,6 @@ func newEngine(cfg Config, scheme Scheme) (*Engine, error) {
 
 	// Scheme-specific memory configuration, derived from the policy axes.
 	memCfg := cfg.Mem
-	if memCfg.Telemetry == nil {
-		memCfg.Telemetry = cfg.Telemetry
-	}
 	interval, metric, w := scheme.Scrub.Plan()
 	memCfg.ScrubInterval = interval
 	if lg, ok := scheme.Write.(LineGeometry); ok {
@@ -356,7 +352,6 @@ const cancelCheckMask = 1<<13 - 1
 func (e *Engine) loop(ctx context.Context) error {
 	const maxIters = 1 << 62
 	var now int64
-	parallel := e.ctrl.ParallelEngine()
 	// Completion scratch, owned by the loop and recycled every iteration so
 	// the steady state never allocates.
 	var scratch []memctrl.Completion
@@ -388,29 +383,9 @@ func (e *Engine) loop(ctx context.Context) error {
 		if t < now {
 			t = now
 		}
-		if parallel && e.warmupDone && !e.cluster.HasStalledWrites() {
-			// Conservative lookahead (DESIGN §14): no CPU-side injection can
-			// land strictly inside (now, H) — running cores issue no earlier
-			// than tCPU, and a core woken by a read completion issues no
-			// earlier than that completion plus one core cycle, which the
-			// demand-read bound floors. Stretching the advance target to H
-			// gives the parallel engine whole batches of bank events per
-			// barrier instead of one, and is bit-identical because every
-			// CPU interaction still happens at its exact serial time.
-			// Warmup is excluded: the mark snapshot reads the loop's clock,
-			// which window stretching is allowed to run ahead.
-			if h, ok := e.windowHorizon(tCPU, okCPU); ok && h > t {
-				t = h
-			}
-		}
 		progressed := t > now
 		now = t
-		var comps []memctrl.Completion
-		if parallel {
-			comps = e.ctrl.AdvanceWindow(t, scratch)
-		} else {
-			comps = e.ctrl.AdvanceTo(t, scratch)
-		}
+		comps := e.ctrl.AdvanceTo(t, scratch)
 		scratch = comps
 		for _, comp := range comps {
 			if err := e.cluster.OnReadComplete(comp.ID, comp.At); err != nil {
@@ -429,30 +404,6 @@ func (e *Engine) loop(ctx context.Context) error {
 			e.mark(now)
 		}
 	}
-}
-
-// windowHorizon computes the conservative lookahead bound H: the earliest
-// time a CPU-side injection (demand read, write, cancellation) can reach
-// the memory controller. Running cores issue at tCPU at the earliest; a
-// core woken by a read completion issues at least one core cycle after
-// that completion, and EarliestDemandReadBound floors all future demand-
-// read completions. ok=false means no bound exists (no running cores and
-// no demand reads anywhere — the caller keeps the serial target).
-func (e *Engine) windowHorizon(tCPU int64, okCPU bool) (int64, bool) {
-	lb, okLB := e.ctrl.EarliestDemandReadBound()
-	switch {
-	case okLB:
-		h := lb + e.cluster.CyclePS()
-		if okCPU && tCPU < h {
-			h = tCPU
-		}
-		return h, true
-	case okCPU:
-		// No demand read in flight or queued: completions cannot wake
-		// anyone, so only running cores inject, no earlier than tCPU.
-		return tCPU, true
-	}
-	return 0, false
 }
 
 // mark snapshots every counter at the warmup boundary; Result reports the

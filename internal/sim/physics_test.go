@@ -168,7 +168,6 @@ func TestLWCPlanMatchesClosedForm(t *testing.T) {
 			t.Errorf("r=%d: local rewrite %d cells is no cheaper than the %d-cell line",
 				r, cells, pol.LineCells(cfg))
 		}
-		e.ctrl.Close()
 	}
 }
 
