@@ -3,9 +3,9 @@
 // regenerates its artifact and reports the headline reproduced numbers as
 // custom metrics, so `go test -bench=.` doubles as a reproduction run.
 //
-// The full-resolution artifacts come from the commands (cmd/lertables,
-// cmd/readduo-sim, cmd/edap, cmd/sweeps); the benchmarks here run reduced
-// instruction budgets to stay wall-clock friendly.
+// The full-resolution artifacts come from cmd/readduo-sim and its
+// subcommands (tables, sweep, edap); the benchmarks here run the same
+// campaign path at reduced instruction budgets to stay wall-clock friendly.
 package readduo_test
 
 import (
@@ -49,13 +49,20 @@ func benchSuite(b *testing.B) []trace.Benchmark {
 	return out
 }
 
+// runMatrix runs one campaign on a single worker, so each figure
+// benchmark times serial simulation work.
 func runMatrix(b *testing.B, benches []trace.Benchmark, schemes []sim.Scheme) *report.Matrix {
 	b.Helper()
-	m, err := report.Runner{Budget: benchBudget, Seed: 1}.RunMatrix(benches, schemes)
+	spec := campaign.Spec{Benchmarks: benches, Schemes: schemes, Budget: benchBudget}
+	outcome, err := campaign.Run(context.Background(), spec, campaign.Options{Parallel: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return m
+	matrices, err := outcome.Matrices(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return matrices[0].Matrix
 }
 
 // BenchmarkTableI_DriftModel measures the R-metric crossing-probability

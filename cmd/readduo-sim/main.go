@@ -1,28 +1,37 @@
-// Command readduo-sim runs the full-system evaluation: every scheme the
-// paper compares on the 14-workload suite, reporting normalized execution
-// time (Figure 9), dynamic energy (Figure 10), system energy, and relative
-// lifetime (Figure 15).
+// Command readduo-sim regenerates the paper's evaluation. With no
+// subcommand it runs every scheme the paper compares on the 14-workload
+// suite and reports normalized execution time (Figure 9), dynamic energy
+// (Figure 10), and relative lifetime (Figure 15). Subcommands:
 //
-// The matrix runs on the campaign engine (internal/campaign): jobs execute
-// on a bounded worker pool, every completed job is journaled when -journal
-// is given, and an interrupted campaign (Ctrl-C drains gracefully) resumes
-// with -resume, skipping finished jobs. Results are bit-identical for any
-// -parallel value.
+//	sweep   sensitivity to k, s and R-M-read conversion (Figures 12-14),
+//	        or a custom -schemes list normalized to its first entry
+//	edap    Table VII, per-line cell footprints, and Figure 11's EDAP,
+//	        normalized to the first -schemes entry
+//	tables  the analytical Tables I-V (no simulation)
+//
+// Every simulating invocation runs one campaign (internal/campaign): jobs
+// execute on a bounded worker pool, every completed job is journaled when
+// -journal is given, and an interrupted campaign (Ctrl-C drains
+// gracefully) resumes with -resume, skipping finished jobs. Results are
+// bit-identical for any -parallel value. A subcommand only chooses the
+// default scheme columns and which views -report renders from the matrix.
 //
 // Usage:
 //
-//	readduo-sim [-benchmarks=mcf,sphinx3] [-schemes=prior|readduo|all|<list>]
-//	            [-budget=2000000] [-seed=1] [-report=time|energy|lifetime|all]
+//	readduo-sim [sweep|edap] [-benchmarks=mcf,sphinx3] [-schemes=<list>]
+//	            [-budget=2000000] [-seed=1] [-report=<view>]
 //	            [-parallel=N] [-banks=N] [-journal=run.jsonl] [-resume] [-json]
+//	readduo-sim tables [-report=config|ler|wpolicy|all] [-metric=R|M|both]
 //
-// -schemes also accepts an arbitrary design-point list drawn from the
-// scheme registry's spec grammar, e.g. "Ideal,LWT-8,Select-4:2" or
+// -schemes accepts an arbitrary design-point list drawn from the scheme
+// registry's spec grammar, e.g. "Ideal,LWT-8,Select-4:2" or
 // "ideal,lwt:k=16,convert=false" — design points the paper never ran.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,13 +48,14 @@ import (
 	"readduo/internal/campaign"
 	_ "readduo/internal/corpus" // register corpus:* workload scenarios
 	"readduo/internal/obs"
-	"readduo/internal/report"
 	"readduo/internal/sim"
 	"readduo/internal/trace"
 )
 
-// options collects the command-line configuration.
+// options collects the configuration shared by every simulating
+// subcommand.
 type options struct {
+	command     string // "", "sweep" or "edap"
 	benchList   string
 	schemeSet   string
 	budget      uint64
@@ -64,40 +74,105 @@ type options struct {
 	telemDir    string
 	debugAddr   string
 	traceSpans  string
+	out         io.Writer // reports
 	progress    io.Writer // nil silences progress lines
 }
 
 func main() {
-	var opts options
-	flag.StringVar(&opts.benchList, "benchmarks", "", "comma-separated workload names (default: full suite)")
-	flag.StringVar(&opts.schemeSet, "schemes", "all",
-		"prior, readduo, all, or a comma-separated scheme list (e.g. \"Ideal,LWT-8,Select-4:2\", \"lwt:k=16\")")
-	flag.Uint64Var(&opts.budget, "budget", 2_000_000, "instructions per core")
-	flag.Int64Var(&opts.seed, "seed", 1, "campaign seed (per-job seeds are derived from it)")
-	flag.StringVar(&opts.seedList, "seeds", "", "comma-separated replicate seeds (e.g. 1,2,3,4,5); overrides -seed")
-	flag.StringVar(&opts.what, "report", "all", "time, energy, lifetime, or all")
-	flag.StringVar(&opts.traceFile, "trace", "", "replay this capture (from tracegen) instead of generating accesses; requires -benchmarks naming the matching profile")
-	flag.BoolVar(&opts.jsonOut, "json", false, "emit the full result matrix as JSON instead of tables")
-	flag.BoolVar(&opts.emitBench, "emit-bench", false,
-		"emit results as go-test benchmark lines (one run per replicate seed) for benchjson governance")
-	flag.IntVar(&opts.parallel, "parallel", 0, "worker pool size (0 = GOMAXPROCS)")
-	flag.IntVar(&opts.banks, "banks", 0, "override the PCM bank count (0 = config default)")
-	flag.StringVar(&opts.journalPath, "journal", "", "append completed jobs to this JSONL journal")
-	flag.BoolVar(&opts.resume, "resume", false, "skip jobs already completed in -journal")
-	flag.BoolVar(&opts.telemetry, "telemetry", false, "collect hot-path counters; print a snapshot table and write telemetry.json at exit")
-	flag.DurationVar(&opts.telemIntvl, "telemetry-interval", 0, "stream registry snapshots to a time-series store every interval (0 = off)")
-	flag.StringVar(&opts.telemDir, "telemetry-dir", "", "directory persisting streamed series (empty = in-memory; implies -telemetry-interval 1s)")
-	flag.StringVar(&opts.debugAddr, "debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
-	flag.StringVar(&opts.traceSpans, "trace-spans", "", "stream per-job span events to this JSONL file")
-	flag.Parse()
-	opts.progress = os.Stderr
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, opts); err != nil {
+	if err := cli(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "readduo-sim:", err)
 		os.Exit(1)
 	}
+}
+
+// cli dispatches on the optional subcommand in args[0].
+func cli(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	command := ""
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		command, args = args[0], args[1:]
+	}
+	switch command {
+	case "tables":
+		fs := newFlagSet(command, stderr)
+		what := fs.String("report", "all", "config, ler, wpolicy, or all")
+		metric := fs.String("metric", "both", "metric for the LER tables: R, M, or both")
+		if err := parseFlags(fs, args); err != nil {
+			return err
+		}
+		p, err := tablesPlan(*what, *metric)
+		if err != nil {
+			return err
+		}
+		return p.render(stdout, nil)
+	case "", "sweep", "edap":
+		opts, err := parseOptions(command, args, stdout, stderr)
+		if err != nil {
+			return err
+		}
+		return run(ctx, opts)
+	}
+	return fmt.Errorf("unknown subcommand %q (want sweep, edap, or tables)", command)
+}
+
+func newFlagSet(command string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(strings.TrimSpace("readduo-sim "+command), flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: readduo-sim [sweep|edap|tables] [flags]\nflags of %s:\n", fs.Name())
+		fs.PrintDefaults()
+	}
+	return fs
+}
+
+// parseFlags parses args, rejecting leftovers such as a subcommand placed
+// after the flags, which would otherwise be silently ignored.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (a subcommand must come first)", fs.Arg(0))
+	}
+	return nil
+}
+
+// parseOptions registers the shared flags; only the -schemes and -report
+// help texts differ between subcommands.
+func parseOptions(command string, args []string, stdout, stderr io.Writer) (options, error) {
+	opts := options{command: command, out: stdout, progress: stderr}
+	schemesUsage := "prior, readduo, all (default), or a comma-separated scheme list (e.g. \"Ideal,LWT-8,Select-4:2\", \"lwt:k=16\")"
+	reportUsage := "time, energy, lifetime, or all"
+	switch command {
+	case "sweep":
+		schemesUsage = "scheme list for the custom view, normalized to the first entry (implies -report=custom)"
+		reportUsage = "k, s, conversion, custom, or all"
+	case "edap":
+		schemesUsage = "scheme list; the first entry is the EDAP baseline (default: the Figure 11 set)"
+		reportUsage = "area or all"
+	}
+	fs := newFlagSet(command, stderr)
+	fs.StringVar(&opts.benchList, "benchmarks", "", "comma-separated workload names (default: full suite)")
+	fs.StringVar(&opts.schemeSet, "schemes", "", schemesUsage)
+	fs.Uint64Var(&opts.budget, "budget", 2_000_000, "instructions per core")
+	fs.Int64Var(&opts.seed, "seed", 1, "campaign seed (per-job seeds are derived from it)")
+	fs.StringVar(&opts.seedList, "seeds", "", "comma-separated replicate seeds (e.g. 1,2,3,4,5); overrides -seed")
+	fs.StringVar(&opts.what, "report", "all", reportUsage)
+	fs.StringVar(&opts.traceFile, "trace", "", "replay this capture (from tracegen) instead of generating accesses; requires -benchmarks naming the matching profile")
+	fs.BoolVar(&opts.jsonOut, "json", false, "emit the full result matrix as JSON instead of tables")
+	fs.BoolVar(&opts.emitBench, "emit-bench", false,
+		"emit results as go-test benchmark lines (one run per replicate seed) for benchjson governance")
+	fs.IntVar(&opts.parallel, "parallel", 0, "worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&opts.banks, "banks", 0, "override the PCM bank count (0 = config default)")
+	fs.StringVar(&opts.journalPath, "journal", "", "append completed jobs to this JSONL journal")
+	fs.BoolVar(&opts.resume, "resume", false, "skip jobs already completed in -journal")
+	fs.BoolVar(&opts.telemetry, "telemetry", false, "collect hot-path counters; print a snapshot table and write telemetry.json at exit")
+	fs.DurationVar(&opts.telemIntvl, "telemetry-interval", 0, "stream registry snapshots to a time-series store every interval (0 = off)")
+	fs.StringVar(&opts.telemDir, "telemetry-dir", "", "directory persisting streamed series (empty = in-memory; implies -telemetry-interval 1s)")
+	fs.StringVar(&opts.debugAddr, "debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
+	fs.StringVar(&opts.traceSpans, "trace-spans", "", "stream per-job span events to this JSONL file")
+	return opts, parseFlags(fs, args)
 }
 
 func selectBenches(list string) ([]trace.Benchmark, error) {
@@ -153,17 +228,13 @@ func parseSeeds(list string, single int64) ([]int64, error) {
 	return out, nil
 }
 
-// buildSpec assembles the campaign spec, including the per-job trace
-// replay hook when -trace is given. The returned cleanup (never nil)
-// must run once the campaign has drained; it closes any trace handles
-// the jobs opened.
-func buildSpec(opts options) (campaign.Spec, func(), error) {
+// buildSpec assembles the campaign spec over the given scheme columns,
+// including the per-job trace replay hook when -trace is given. The
+// returned cleanup (never nil) must run once the campaign has drained; it
+// closes any trace handles the jobs opened.
+func buildSpec(opts options, schemes []sim.Scheme) (campaign.Spec, func(), error) {
 	noop := func() {}
 	benches, err := selectBenches(opts.benchList)
-	if err != nil {
-		return campaign.Spec{}, noop, err
-	}
-	schemes, err := selectSchemes(opts.schemeSet)
 	if err != nil {
 		return campaign.Spec{}, noop, err
 	}
@@ -243,12 +314,41 @@ func buildSpec(opts options) (campaign.Spec, func(), error) {
 }
 
 func run(ctx context.Context, opts options) error {
-	spec, cleanup, err := buildSpec(opts)
+	if opts.resume && opts.journalPath == "" {
+		return fmt.Errorf("-resume needs -journal")
+	}
+	p, err := planFor(opts)
+	if err != nil {
+		return err
+	}
+	if len(p.schemes) == 0 { // edap -report=area simulates nothing
+		return p.render(opts.out, nil)
+	}
+	spec, cleanup, err := buildSpec(opts, p.schemes)
 	if err != nil {
 		return err
 	}
 	defer cleanup()
+	outcome, matrices, err := runCampaign(ctx, spec, opts)
+	if err != nil {
+		return err
+	}
+	if opts.emitBench {
+		return emitBench(opts.out, spec, matrices)
+	}
+	if opts.jsonOut {
+		return writeJSON(opts.out, spec, matrices, outcome, opts)
+	}
+	// Views report the first replicate; use -json or -emit-bench for the
+	// full multi-seed surface.
+	return p.render(opts.out, matrices[0].Matrix)
+}
 
+// runCampaign runs spec under the observability session and journal the
+// options ask for. An interrupted or partly failed campaign writes its
+// per-job summary to opts.progress before returning the error, so
+// finished jobs are reported rather than silently discarded.
+func runCampaign(ctx context.Context, spec campaign.Spec, opts options) (*campaign.Outcome, []campaign.SeedMatrix, error) {
 	session, err := obs.Start(obs.Options{
 		Name:              "readduo-sim",
 		Telemetry:         opts.telemetry,
@@ -263,7 +363,7 @@ func run(ctx context.Context, opts options) error {
 		},
 	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	defer session.Close()
 	session.StartCollector()
@@ -278,9 +378,6 @@ func run(ctx context.Context, opts options) error {
 			fmt.Fprintf(opts.progress, format+"\n", args...)
 		}
 	}
-	if opts.resume && opts.journalPath == "" {
-		return fmt.Errorf("-resume needs -journal")
-	}
 	var prior *campaign.TelemetrySummary
 	if opts.journalPath != "" {
 		header := spec.Header(time.Now().Unix())
@@ -288,7 +385,7 @@ func run(ctx context.Context, opts options) error {
 		if opts.resume {
 			j, done, p, err := campaign.Open(opts.journalPath, header)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			journal = j
 			campaignOpts.Completed = done
@@ -296,7 +393,7 @@ func run(ctx context.Context, opts options) error {
 		} else {
 			j, err := campaign.Create(opts.journalPath, header)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			journal = j
 		}
@@ -309,7 +406,7 @@ func run(ctx context.Context, opts options) error {
 		err = reportErr
 	}
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if outcome.Interrupted || outcome.Failed > 0 {
 		if opts.progress != nil {
@@ -320,25 +417,17 @@ func run(ctx context.Context, opts options) error {
 			if opts.journalPath != "" {
 				hint = fmt.Sprintf("; resume with -journal=%s -resume", opts.journalPath)
 			}
-			return fmt.Errorf("interrupted with %d/%d jobs done%s",
+			return nil, nil, fmt.Errorf("interrupted with %d/%d jobs done%s",
 				outcome.Done, len(outcome.Records), hint)
 		}
-		return fmt.Errorf("%d job(s) failed; matrix incomplete", outcome.Failed)
+		return nil, nil, fmt.Errorf("%d/%d jobs done, %d failed; matrix incomplete",
+			outcome.Done, len(outcome.Records), outcome.Failed)
 	}
 	matrices, err := outcome.Matrices(spec)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-
-	if opts.emitBench {
-		return emitBench(os.Stdout, spec, matrices)
-	}
-	if opts.jsonOut {
-		return writeJSON(os.Stdout, spec, matrices, outcome, opts)
-	}
-	// Tables report the first replicate; use -json or -emit-bench for the
-	// full multi-seed surface.
-	return writeTables(os.Stdout, matrices[0].Matrix, opts.what)
+	return outcome, matrices, nil
 }
 
 // benchNameSanitizer rewrites characters benchjson's parser would
@@ -408,51 +497,6 @@ func sortedCounterKeys(m map[string]uint64) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func writeTables(w io.Writer, m *report.Matrix, what string) error {
-	all := what == "all"
-	printed := false
-	if all || what == "time" {
-		printed = true
-		rows, means, err := m.Normalized("Ideal", report.ExecTime)
-		if err != nil {
-			return err
-		}
-		if err := report.WriteNormalizedTable(w,
-			"Figure 9: execution time normalized to Ideal", m, rows, means); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if all || what == "energy" {
-		printed = true
-		rows, means, err := m.Normalized("Ideal", report.DynamicEnergy)
-		if err != nil {
-			return err
-		}
-		if err := report.WriteNormalizedTable(w,
-			"Figure 10: dynamic energy normalized to Ideal", m, rows, means); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if all || what == "lifetime" {
-		printed = true
-		life, err := m.RelativeLifetime("Ideal")
-		if err != nil {
-			return err
-		}
-		if err := report.WriteKeyValueTable(w,
-			"Figure 15: lifetime relative to Ideal", m.Schemes, life); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if !printed {
-		return fmt.Errorf("unknown report %q", what)
-	}
-	return nil
 }
 
 // jsonCampaign is the self-describing metadata block of -json output.

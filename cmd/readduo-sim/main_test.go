@@ -8,8 +8,19 @@ import (
 	"testing"
 
 	"readduo/internal/campaign"
+	"readduo/internal/sim"
 	"readduo/internal/trace"
 )
+
+// mustSchemes resolves a -schemes value the way the root command does.
+func mustSchemes(t *testing.T, set string) []sim.Scheme {
+	t.Helper()
+	schemes, err := selectSchemes(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return schemes
+}
 
 func TestSelectBenches(t *testing.T) {
 	all, err := selectBenches("")
@@ -46,7 +57,7 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 		benchList: "gcc", schemeSet: "readduo", budget: 20_000, seed: 7,
 		parallel: 2, journalPath: "run.jsonl",
 	}
-	spec, _, err := buildSpec(opts)
+	spec, _, err := buildSpec(opts, mustSchemes(t, opts.schemeSet))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +135,7 @@ func TestEmitBench(t *testing.T) {
 		budget: 10_000, seedList: "1,2",
 	}
 	render := func() string {
-		spec, _, err := buildSpec(opts)
+		spec, _, err := buildSpec(opts, mustSchemes(t, opts.schemeSet))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,5 +185,55 @@ func TestRunErrors(t *testing.T) {
 	if err := run(ctx, options{benchList: "gcc", schemeSet: "all", resume: true}); err == nil ||
 		!strings.Contains(err.Error(), "-resume needs -journal") {
 		t.Errorf("resume without journal = %v", err)
+	}
+}
+
+// TestRunCampaignReportsPartialProgress guards against discarding every
+// completed job when one fails: a campaign with one poisoned point must
+// still report the jobs that finished.
+func TestRunCampaignReportsPartialProgress(t *testing.T) {
+	gcc, _ := trace.ByName("gcc")
+	hmmer, _ := trace.ByName("hmmer")
+	spec := campaign.Spec{
+		Benchmarks: []trace.Benchmark{gcc, hmmer},
+		Schemes:    []sim.Scheme{sim.Ideal(), sim.LWT(4, true)},
+		Budget:     15_000,
+		Configure: func(job campaign.Job, cfg *sim.Config) {
+			if job.Benchmark.Name == "hmmer" && job.Scheme.Name() == "LWT-4" {
+				cfg.EpochReads = -1 // invalid: this point fails validation
+			}
+		},
+	}
+	var progress bytes.Buffer
+	_, _, err := runCampaign(context.Background(), spec, options{parallel: 2, progress: &progress})
+	if err == nil || !strings.Contains(err.Error(), "3/4 jobs done, 1 failed") {
+		t.Fatalf("poisoned campaign error = %v", err)
+	}
+	out := progress.String()
+	for _, want := range []string{"s0/gcc/Ideal", "s0/gcc/LWT-4", "s0/hmmer/Ideal", "s0/hmmer/LWT-4", "FAILED"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("partial report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRunCampaignInterrupted verifies a cancelled campaign reports what it
+// never started instead of failing silently.
+func TestRunCampaignInterrupted(t *testing.T) {
+	gcc, _ := trace.ByName("gcc")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // cancelled before any job starts
+	spec := campaign.Spec{
+		Benchmarks: []trace.Benchmark{gcc},
+		Schemes:    []sim.Scheme{sim.Ideal()},
+		Budget:     10_000,
+	}
+	var progress bytes.Buffer
+	_, _, err := runCampaign(ctx, spec, options{parallel: 1, progress: &progress})
+	if err == nil || !strings.Contains(err.Error(), "interrupted") {
+		t.Fatalf("cancelled campaign error = %v", err)
+	}
+	if !strings.Contains(progress.String(), "not started") {
+		t.Errorf("partial report missing pending count:\n%s", progress.String())
 	}
 }

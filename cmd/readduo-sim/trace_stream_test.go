@@ -45,7 +45,7 @@ func TestTraceReplayChampSimSample(t *testing.T) {
 		benchList: "gcc", schemeSet: "Ideal,LWT-4", budget: 20_000,
 		seed: 1, traceFile: path,
 	}
-	spec, cleanup, err := buildSpec(opts)
+	spec, cleanup, err := buildSpec(opts, mustSchemes(t, opts.schemeSet))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTraceReplayDoesNotBufferCapture(t *testing.T) {
 		benchList: "gcc", schemeSet: "Ideal", budget: 20_000,
 		seed: 1, traceFile: path,
 	}
-	spec, cleanup, err := buildSpec(opts)
+	spec, cleanup, err := buildSpec(opts, mustSchemes(t, opts.schemeSet))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,8 @@
 //
 // Every scenario registers a trace.Benchmark under the "corpus:" prefix,
 // so the whole corpus is addressable wherever benchmarks are named — one
-// campaign matrix through readduo-sim (-benchmarks corpus:zipfian,
-// corpus:scan), sweeps, and the serve spec grammar
+// campaign matrix through any readduo-sim view (-benchmarks corpus:zipfian,
+// corpus:scan) and the serve spec grammar
 // (GET /v1/compare?benchmark=corpus:zipfian&schemes=Ideal,LWT-4).
 //
 // Importing the package (blank import for binaries) performs the

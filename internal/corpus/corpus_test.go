@@ -9,7 +9,7 @@ import (
 
 // TestCorpusRegistered pins the acceptance-criteria surface: at least 4
 // named scenarios, every one resolvable through trace.ByName (the hook
-// readduo-sim, sweeps, and the serve grammar all use), profiles valid.
+// readduo-sim and the serve grammar both use), profiles valid.
 func TestCorpusRegistered(t *testing.T) {
 	scs := Scenarios()
 	if len(scs) < 4 {

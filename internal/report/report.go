@@ -1,6 +1,6 @@
-// Package report runs scheme x workload evaluation matrices and renders
-// the tabular reports behind the paper's figures. It is shared by the
-// command-line tools (cmd/readduo-sim, cmd/edap, cmd/sweeps) and the
+// Package report holds scheme x workload result matrices and renders the
+// tabular reports behind the paper's figures. Matrices come from campaigns
+// (internal/campaign); the views are shared by cmd/readduo-sim and the
 // benchmark harness at the repository root.
 package report
 
@@ -13,22 +13,7 @@ import (
 
 	"readduo/internal/metrics"
 	"readduo/internal/sim"
-	"readduo/internal/telemetry"
-	"readduo/internal/trace"
 )
-
-// Runner configures evaluation runs.
-type Runner struct {
-	// Budget is the per-core instruction budget; zero selects the
-	// default.
-	Budget uint64
-	// Seed drives all random streams.
-	Seed int64
-	// Telemetry, when non-nil, receives every run's engine probes.
-	Telemetry *telemetry.Registry
-	// Configure, when non-nil, post-processes each run's configuration.
-	Configure func(*sim.Config)
-}
 
 // Matrix holds the results of a scheme x workload sweep.
 type Matrix struct {
@@ -36,44 +21,6 @@ type Matrix struct {
 	Schemes    []string
 	// Results[b][s] pairs Benchmarks[b] with Schemes[s].
 	Results [][]*sim.Result
-}
-
-// RunMatrix evaluates every scheme on every workload.
-func (r Runner) RunMatrix(benches []trace.Benchmark, schemes []sim.Scheme) (*Matrix, error) {
-	if len(benches) == 0 || len(schemes) == 0 {
-		return nil, fmt.Errorf("report: empty matrix")
-	}
-	m := &Matrix{
-		Benchmarks: make([]string, len(benches)),
-		Schemes:    make([]string, len(schemes)),
-		Results:    make([][]*sim.Result, len(benches)),
-	}
-	for j, s := range schemes {
-		m.Schemes[j] = s.Name()
-	}
-	for i, b := range benches {
-		m.Benchmarks[i] = b.Name
-		m.Results[i] = make([]*sim.Result, len(schemes))
-		for j, s := range schemes {
-			cfg := sim.DefaultConfig(b)
-			if r.Budget > 0 {
-				cfg.CPU.InstrBudget = r.Budget
-			}
-			if r.Seed != 0 {
-				cfg.Seed = r.Seed
-			}
-			cfg.Telemetry = r.Telemetry
-			if r.Configure != nil {
-				r.Configure(&cfg)
-			}
-			res, err := sim.Run(cfg, s)
-			if err != nil {
-				return nil, fmt.Errorf("report: %s/%s: %w", b.Name, s.Name(), err)
-			}
-			m.Results[i][j] = res
-		}
-	}
-	return m, nil
 }
 
 // schemeIndex locates a scheme column.
@@ -84,6 +31,31 @@ func (m *Matrix) schemeIndex(name string) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("report: scheme %q not in matrix", name)
+}
+
+// Columns returns the sub-matrix of the named scheme columns, in the given
+// order. Benchmarks and results are shared with m, not copied.
+func (m *Matrix) Columns(names ...string) (*Matrix, error) {
+	idx := make([]int, len(names))
+	for k, name := range names {
+		j, err := m.schemeIndex(name)
+		if err != nil {
+			return nil, err
+		}
+		idx[k] = j
+	}
+	out := &Matrix{
+		Benchmarks: m.Benchmarks,
+		Schemes:    append([]string(nil), names...),
+		Results:    make([][]*sim.Result, len(m.Results)),
+	}
+	for i, row := range m.Results {
+		out.Results[i] = make([]*sim.Result, len(idx))
+		for k, j := range idx {
+			out.Results[i][k] = row[j]
+		}
+	}
+	return out, nil
 }
 
 // Normalized extracts metric values normalized to the reference scheme's

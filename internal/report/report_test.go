@@ -10,50 +10,52 @@ import (
 	"readduo/internal/trace"
 )
 
+// smallMatrix runs a 2x3 matrix straight through the simulator; report
+// cannot use campaign.Run, which imports it.
 func smallMatrix(t *testing.T) *Matrix {
 	t.Helper()
-	gcc, ok := trace.ByName("gcc")
-	if !ok {
-		t.Fatal("gcc missing")
+	m := &Matrix{
+		Benchmarks: []string{"gcc", "hmmer"},
+		Schemes:    []string{"Ideal", "M-metric", "TLC"},
 	}
-	hmmer, ok := trace.ByName("hmmer")
-	if !ok {
-		t.Fatal("hmmer missing")
-	}
-	m, err := Runner{Budget: 40_000, Seed: 3}.RunMatrix(
-		[]trace.Benchmark{gcc, hmmer},
-		[]sim.Scheme{sim.Ideal(), sim.MMetric(), sim.TLC()},
-	)
-	if err != nil {
-		t.Fatalf("RunMatrix: %v", err)
+	schemes := []sim.Scheme{sim.Ideal(), sim.MMetric(), sim.TLC()}
+	for _, name := range m.Benchmarks {
+		b, ok := trace.ByName(name)
+		if !ok {
+			t.Fatalf("%s missing", name)
+		}
+		row := make([]*sim.Result, len(schemes))
+		for j, s := range schemes {
+			cfg := sim.DefaultConfig(b)
+			cfg.CPU.InstrBudget = 40_000
+			cfg.Seed = 3
+			res, err := sim.Run(cfg, s)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, s.Name(), err)
+			}
+			row[j] = res
+		}
+		m.Results = append(m.Results, row)
 	}
 	return m
 }
 
-func TestRunMatrixShape(t *testing.T) {
+func TestColumns(t *testing.T) {
 	m := smallMatrix(t)
-	if len(m.Benchmarks) != 2 || len(m.Schemes) != 3 {
-		t.Fatalf("matrix %dx%d", len(m.Benchmarks), len(m.Schemes))
+	sub, err := m.Columns("TLC", "Ideal")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range m.Results {
-		for j, r := range m.Results[i] {
-			if r == nil {
-				t.Fatalf("missing result %d/%d", i, j)
-			}
-			if r.Scheme != m.Schemes[j] || r.Benchmark != m.Benchmarks[i] {
-				t.Errorf("result labels %s/%s at %d/%d", r.Scheme, r.Benchmark, i, j)
-			}
+	if len(sub.Schemes) != 2 || sub.Schemes[0] != "TLC" || sub.Schemes[1] != "Ideal" {
+		t.Fatalf("columns = %v", sub.Schemes)
+	}
+	for i := range m.Benchmarks {
+		if sub.Results[i][0] != m.Results[i][2] || sub.Results[i][1] != m.Results[i][0] {
+			t.Errorf("row %d picked the wrong results", i)
 		}
 	}
-}
-
-func TestRunMatrixValidation(t *testing.T) {
-	if _, err := (Runner{}).RunMatrix(nil, []sim.Scheme{sim.Ideal()}); err == nil {
-		t.Error("empty benchmarks accepted")
-	}
-	gcc, _ := trace.ByName("gcc")
-	if _, err := (Runner{}).RunMatrix([]trace.Benchmark{gcc}, nil); err == nil {
-		t.Error("empty schemes accepted")
+	if _, err := m.Columns("Ideal", "nope"); err == nil {
+		t.Error("unknown column accepted")
 	}
 }
 
@@ -144,21 +146,6 @@ func TestWriteTables(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Ideal") {
 		t.Error("kv table missing entry")
-	}
-}
-
-func TestRunnerConfigureHook(t *testing.T) {
-	gcc, _ := trace.ByName("gcc")
-	var saw bool
-	r := Runner{Budget: 20_000, Seed: 1, Configure: func(c *sim.Config) {
-		saw = true
-		c.CPU.MLP = 1
-	}}
-	if _, err := r.RunMatrix([]trace.Benchmark{gcc}, []sim.Scheme{sim.Ideal()}); err != nil {
-		t.Fatalf("RunMatrix: %v", err)
-	}
-	if !saw {
-		t.Error("Configure hook not invoked")
 	}
 }
 
