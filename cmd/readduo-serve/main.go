@@ -9,8 +9,7 @@
 //	              [-disk-cache DIR] [-disk-cache-bytes N]
 //	              [-remote-workers host:port,host:port]
 //	              [-request-timeout 30s] [-compute-timeout 30s]
-//	              [-max-mc-cells N] [-max-budget N]
-//	              [-debug-addr :6060] [-trace-spans spans.jsonl]
+//	              [-drain-timeout 30s] [-max-mc-cells N] [-max-budget N]
 //	              [-telemetry-interval 1s] [-telemetry-dir DIR]
 //	              [-dash-addr :8090]
 //
@@ -21,18 +20,20 @@
 // requests finish (up to the drain timeout), then in-flight computations
 // are cancelled.
 //
-// With -remote-workers, computations are routed across readduo-worker
-// nodes by consistent hashing of the canonical spec key, degrading to
-// local compute when a worker fails. With -disk-cache, responses also
-// persist in a size-bounded on-disk tier that survives restarts.
+// Every node also answers POST /compute on its own pool, so any
+// readduo-serve is a worker for the nodes that name it. With
+// -remote-workers, computations are routed across those nodes by
+// consistent hashing of the canonical spec key, degrading to local
+// compute when a worker fails. With -disk-cache, responses also persist
+// in a size-bounded on-disk tier that survives restarts.
 //
 // With -telemetry-interval, a streaming collector samples the metric
 // registry into an in-memory time-series store exposed at /api/series;
 // -telemetry-dir persists that history across restarts, and -dash-addr
-// serves a live web dashboard (with /metrics and an SSE stream) on its
-// own listener. /metrics always serves the Prometheus text exposition,
-// and /statusz carries per-endpoint SLO burn rates once the collector
-// runs.
+// serves a live web dashboard (with /metrics, an SSE stream and the
+// net/http/pprof profiles) on its own listener. /metrics always serves
+// the Prometheus text exposition, and /statusz carries per-endpoint SLO
+// burn rates once the collector runs.
 package main
 
 import (
@@ -65,11 +66,9 @@ func main() {
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline")
 		maxMCCells     = flag.Int("max-mc-cells", 0, "Monte-Carlo population cap (0 = 10M)")
 		maxBudget      = flag.Uint64("max-budget", 0, "comparison instruction-budget cap (0 = 2M)")
-		debugAddr      = flag.String("debug-addr", "", "pprof/expvar listener address (empty = off)")
-		traceSpans     = flag.String("trace-spans", "", "span trace JSONL path (empty = off)")
 		telemetryIntvl = flag.Duration("telemetry-interval", 0, "metric collection period (0 = off unless -telemetry-dir/-dash-addr)")
 		telemetryDir   = flag.String("telemetry-dir", "", "directory persisting collected series across restarts (empty = in-memory)")
-		dashAddr       = flag.String("dash-addr", "", "live dashboard listener address (empty = off)")
+		dashAddr       = flag.String("dash-addr", "", "dashboard, /metrics and pprof listener address (empty = off)")
 	)
 	flag.Parse()
 
@@ -79,7 +78,6 @@ func main() {
 		remoteWorkers:  splitAddrs(*remoteWorkers),
 		requestTimeout: *requestTimeout, computeTimeout: *computeTimeout,
 		drainTimeout: *drainTimeout, maxMCCells: *maxMCCells, maxBudget: *maxBudget,
-		debugAddr: *debugAddr, traceSpans: *traceSpans,
 		telemetryInterval: *telemetryIntvl, telemetryDir: *telemetryDir, dashAddr: *dashAddr,
 	}, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "readduo-serve:", err)
@@ -99,8 +97,6 @@ type config struct {
 	drainTimeout      time.Duration
 	maxMCCells        int
 	maxBudget         uint64
-	debugAddr         string
-	traceSpans        string
 	telemetryInterval time.Duration
 	telemetryDir      string
 	dashAddr          string
@@ -144,12 +140,10 @@ func run(cfg config, started func(addr string)) error {
 	defer stop()
 
 	// The service always runs with a live registry: its metrics are
-	// scraped via the debug listener while serving, not reported at exit.
+	// scraped over /metrics while serving, not reported at exit.
 	session, err := obs.Start(obs.Options{
 		Name:              "readduo-serve",
 		ForceRegistry:     true,
-		DebugAddr:         cfg.debugAddr,
-		TracePath:         cfg.traceSpans,
 		TelemetryInterval: cfg.telemetryInterval,
 		SeriesDir:         cfg.telemetryDir,
 		DashAddr:          cfg.dashAddr,
@@ -184,7 +178,7 @@ func run(cfg config, started func(addr string)) error {
 	if err := srv.Start(); err != nil {
 		return err
 	}
-	log.Printf("serving on http://%s (healthz, readyz, statusz, v1/{ler,policy,mc,compare,schemes})", srv.Addr())
+	log.Printf("serving on http://%s (healthz, readyz, statusz, compute, v1/{ler,policy,mc,compare,schemes})", srv.Addr())
 	if n := len(cfg.remoteWorkers); n > 0 {
 		log.Printf("routing compute across %d workers: %s", n, strings.Join(cfg.remoteWorkers, ", "))
 	}

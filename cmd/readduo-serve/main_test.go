@@ -106,6 +106,47 @@ func sigterm(t *testing.T, done chan error) {
 	}
 }
 
+// TestRunComputesAndDrainsOnSIGTERM boots the service in the role of a
+// worker, the way a front node's -remote-workers reaches it: a spec
+// routed to /compute answers the bytes the public endpoint serves, a
+// mismatched key is refused deterministically (version-skew guard)
+// rather than computed under the wrong identity, and SIGTERM drains.
+func TestRunComputesAndDrainsOnSIGTERM(t *testing.T) {
+	addr, done := boot(t, config{
+		addr:           "127.0.0.1:0",
+		workers:        2,
+		requestTimeout: 10 * time.Second,
+		drainTimeout:   10 * time.Second,
+	})
+	code, want := getBody(t, "http://"+addr+"/v1/policy?e=8&s=16&w=1")
+	if code != http.StatusOK || !strings.Contains(want, "meets") {
+		t.Fatalf("policy: status %d body %s", code, want)
+	}
+
+	routed := `{"key":"policy|m=R|t=300|e=8|s=16|w=1","spec":{"op":"policy","body":{"metric":"R","e":8,"s":16,"w":1}}}`
+	code, out := postBody(t, "http://"+addr+"/compute", routed)
+	if code != http.StatusOK || out != want {
+		t.Fatalf("compute: status %d body %s, want 200 with %s", code, out, want)
+	}
+	skew := strings.Replace(routed, "e=8", "e=9", 1)
+	code, out = postBody(t, "http://"+addr+"/compute", skew)
+	if code != http.StatusBadRequest || !strings.Contains(out, "mismatch") {
+		t.Fatalf("skewed key: status %d body %s, want 400 mismatch", code, out)
+	}
+	sigterm(t, done)
+}
+
+func postBody(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	out, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode, string(out)
+}
+
 // TestRunObservabilityEndToEnd boots the service with the full
 // telemetry stack (collector, persistent series dir, dashboard
 // listener), exercises the live surfaces, drains, then restarts on the

@@ -72,7 +72,7 @@ type options struct {
 	telemetry   bool
 	telemIntvl  time.Duration
 	telemDir    string
-	debugAddr   string
+	dashAddr    string
 	traceSpans  string
 	out         io.Writer // reports
 	progress    io.Writer // nil silences progress lines
@@ -170,7 +170,7 @@ func parseOptions(command string, args []string, stdout, stderr io.Writer) (opti
 	fs.BoolVar(&opts.telemetry, "telemetry", false, "collect hot-path counters; print a snapshot table and write telemetry.json at exit")
 	fs.DurationVar(&opts.telemIntvl, "telemetry-interval", 0, "stream registry snapshots to a time-series store every interval (0 = off)")
 	fs.StringVar(&opts.telemDir, "telemetry-dir", "", "directory persisting streamed series (empty = in-memory; implies -telemetry-interval 1s)")
-	fs.StringVar(&opts.debugAddr, "debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
+	fs.StringVar(&opts.dashAddr, "dash-addr", "", "serve the live dashboard, /metrics, /api/series and net/http/pprof on this address (e.g. localhost:6060; implies -telemetry-interval 1s)")
 	fs.StringVar(&opts.traceSpans, "trace-spans", "", "stream per-job span events to this JSONL file")
 	return opts, parseFlags(fs, args)
 }
@@ -352,10 +352,10 @@ func runCampaign(ctx context.Context, spec campaign.Spec, opts options) (*campai
 	session, err := obs.Start(obs.Options{
 		Name:              "readduo-sim",
 		Telemetry:         opts.telemetry,
-		DebugAddr:         opts.debugAddr,
 		TracePath:         opts.traceSpans,
 		TelemetryInterval: opts.telemIntvl,
 		SeriesDir:         opts.telemDir,
+		DashAddr:          opts.dashAddr,
 		Logf: func(format string, args ...any) {
 			if opts.progress != nil {
 				fmt.Fprintf(opts.progress, format+"\n", args...)

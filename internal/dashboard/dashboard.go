@@ -9,15 +9,12 @@
 // with inline JS and CSS drawing on <canvas>, so the dashboard works
 // on an air-gapped box with nothing but the binary. The handlers are
 // plain http.HandlerFuncs so the serving mux mounts /metrics and
-// /api/series directly, while -dash-addr gets the full UI on its own
-// listener via Start.
+// /api/series directly, while the -dash-addr listener (started by
+// internal/obs) mounts the full Handler.
 package dashboard
 
 import (
 	"embed"
-	"errors"
-	"fmt"
-	"net"
 	"net/http"
 
 	"readduo/internal/telemetry"
@@ -51,42 +48,4 @@ func handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	w.Write(page)
-}
-
-// Server is a standalone dashboard listener (the -dash-addr port).
-type Server struct {
-	ln   net.Listener
-	http *http.Server
-}
-
-// Start binds addr and serves the dashboard until Close.
-func Start(addr string, reg *telemetry.Registry, c *tsdb.Collector) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("dashboard: listen %s: %w", addr, err)
-	}
-	d := &Server{ln: ln, http: &http.Server{Handler: Handler(reg, c)}}
-	go func() {
-		if err := d.http.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			_ = err // listener closed underneath us: Close already ran
-		}
-	}()
-	return d, nil
-}
-
-// Addr reports the bound address (resolved port for ":0").
-func (d *Server) Addr() string {
-	if d == nil {
-		return ""
-	}
-	return d.ln.Addr().String()
-}
-
-// Close stops the listener. Nil-safe so callers can hold an optional
-// dashboard without branching.
-func (d *Server) Close() error {
-	if d == nil {
-		return nil
-	}
-	return d.http.Close()
 }

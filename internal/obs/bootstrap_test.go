@@ -56,10 +56,12 @@ func TestStartTraceFileError(t *testing.T) {
 	}
 }
 
-// TestStartDebugAddrError: an unbindable debug address must fail Start.
-func TestStartDebugAddrError(t *testing.T) {
-	if _, err := Start(Options{Name: "test", DebugAddr: "256.256.256.256:0"}); err == nil {
-		t.Fatal("Start with unbindable debug address succeeded")
+// TestStartDashAddrError: an unbindable operator listener address must
+// fail Start.
+func TestStartDashAddrError(t *testing.T) {
+	if _, err := Start(Options{Name: "test", DashAddr: "256.256.256.256:0"}); err == nil ||
+		!strings.Contains(err.Error(), "dashboard listen") {
+		t.Fatalf("Start with unbindable dash address = %v, want dashboard listen error", err)
 	}
 }
 

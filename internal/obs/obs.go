@@ -1,9 +1,15 @@
 // Package obs wires the telemetry layer into the command-line tools.
-// Every command shares the same three observability flags, the same
-// bootstrap order (registry, codec probes, cache probes, debug
-// listener, span tracer), and the same exit report (snapshot table
+// Every command shares the same observability flags, the same bootstrap
+// order (registry, codec probes, cache probes, span tracer, series
+// store, operator listener), and the same exit report (snapshot table
 // plus telemetry.json); obs centralizes that plumbing so the commands
 // stay focused on their evaluation logic.
+//
+// The operator listener (-dash-addr) is the one HTTP surface obs
+// starts: the live dashboard, /events, /metrics and /api/series from
+// internal/dashboard plus the net/http/pprof profiles. It is started
+// here rather than in internal/dashboard so that net/http/pprof stays
+// out of internal/server's import graph.
 //
 // A Session started with every feature disabled is an inert value:
 // its Registry and Tracer are nil, which the telemetry package treats
@@ -12,8 +18,12 @@
 package obs
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
+	"net/http/pprof"
 	"os"
 	"time"
 
@@ -21,33 +31,28 @@ import (
 	"readduo/internal/dashboard"
 	"readduo/internal/sim"
 	"readduo/internal/telemetry"
-	"readduo/internal/telemetry/debughttp"
 	"readduo/internal/tsdb"
 )
 
 // Options selects which observability features a command enables.
 type Options struct {
 	// Name is the registry name, conventionally the command name. It
-	// heads the snapshot table and names the expvar publication.
+	// heads the snapshot table and prefixes the /metrics names.
 	Name string
 	// Telemetry enables the metric registry and the exit report
 	// (snapshot table plus JSONPath). The -telemetry flag.
 	Telemetry bool
-	// DebugAddr, when non-empty, starts the pprof/expvar listener on
-	// that address. Implies a live registry so /debug/vars has data
-	// to show. The -debug-addr flag.
-	DebugAddr string
 	// TracePath, when non-empty, streams span events to that JSONL
 	// file. The -trace-spans flag.
 	TracePath string
 	// JSONPath is where Report writes the snapshot JSON; empty
 	// selects "telemetry.json".
 	JSONPath string
-	// ForceRegistry guarantees a live Registry even when Telemetry and
-	// DebugAddr are both off. Long-running services (readduo-serve)
-	// set it: their metrics are scraped over HTTP while running, so a
+	// ForceRegistry guarantees a live Registry even when no other
+	// option asks for one. Long-running services (readduo-serve) set
+	// it: their metrics are scraped over HTTP while running, so a
 	// registry must exist regardless of whether an exit report or
-	// debug listener was requested.
+	// operator listener was requested.
 	ForceRegistry bool
 	// TelemetryInterval enables the streaming collector: every interval
 	// the registry is snapshotted, flattened, diffed, and appended to
@@ -60,19 +65,19 @@ type Options struct {
 	// history over /api/series. The -telemetry-dir flag. Empty keeps
 	// the store memory-only.
 	SeriesDir string
-	// DashAddr, when non-empty, serves the live web dashboard (plus
-	// /metrics, /api/series and the SSE stream) on its own listener.
-	// The -dash-addr flag. Implies the collector.
+	// DashAddr, when non-empty, starts the operator listener on that
+	// address: the live web dashboard, /events, /metrics, /api/series
+	// and /debug/pprof/. The -dash-addr flag. Implies the collector.
 	DashAddr string
 	// Logf, when non-nil, receives one-line startup notices (the
-	// bound debug address). Defaults to silent.
+	// bound listener address). Defaults to silent.
 	Logf func(format string, args ...any)
 }
 
 // Session is a command's live observability state.
 type Session struct {
-	// Registry is the command's metric registry; nil when neither
-	// -telemetry nor -debug-addr was given.
+	// Registry is the command's metric registry; nil unless
+	// -telemetry, ForceRegistry or the collector asked for one.
 	Registry *telemetry.Registry
 	// Tracer streams span events; nil unless -trace-spans was given.
 	Tracer *telemetry.Tracer
@@ -85,10 +90,14 @@ type Session struct {
 
 	report    bool
 	jsonPath  string
-	debug     *debughttp.Server
 	traceFile *os.File
 	store     *tsdb.Store
-	dash      *dashboard.Server
+
+	// dash is the operator listener; dashLn its bound listener and
+	// dashDone closed once its Serve goroutine has returned.
+	dash     *http.Server
+	dashLn   net.Listener
+	dashDone chan struct{}
 }
 
 // Start brings up the requested observability features. The returned
@@ -104,10 +113,10 @@ func Start(o Options) (*Session, error) {
 		logf = func(string, ...any) {}
 	}
 	collect := o.TelemetryInterval > 0 || o.SeriesDir != "" || o.DashAddr != ""
-	if !o.Telemetry && o.DebugAddr == "" && o.TracePath == "" && !o.ForceRegistry && !collect {
+	if !o.Telemetry && o.TracePath == "" && !o.ForceRegistry && !collect {
 		return s, nil
 	}
-	if o.Telemetry || o.DebugAddr != "" || o.ForceRegistry || collect {
+	if o.Telemetry || o.ForceRegistry || collect {
 		s.Registry = telemetry.NewRegistry(o.Name)
 		bch.EnableTelemetry(s.Registry)
 		sim.RegisterCacheTelemetry(s.Registry)
@@ -119,15 +128,6 @@ func Start(o Options) (*Session, error) {
 			s.Close()
 			return nil, fmt.Errorf("obs: BCH codec self-check: %w", err)
 		}
-	}
-	if o.DebugAddr != "" {
-		d, err := debughttp.Serve(o.DebugAddr, s.Registry)
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.debug = d
-		logf("debug listener on http://%s/debug/pprof/ (expvar at /debug/vars)", d.Addr())
 	}
 	if o.TracePath != "" {
 		f, err := os.Create(o.TracePath)
@@ -150,16 +150,40 @@ func Start(o Options) (*Session, error) {
 			logf("series history in %s", o.SeriesDir)
 		}
 		if o.DashAddr != "" {
-			d, err := dashboard.Start(o.DashAddr, s.Registry, s.Collector)
-			if err != nil {
+			if err := s.serveDash(o.DashAddr, logf); err != nil {
 				s.Close()
 				return nil, err
 			}
-			s.dash = d
-			logf("dashboard on http://%s/ (metrics at /metrics)", d.Addr())
+			logf("dashboard on http://%s/ (metrics at /metrics, profiles at /debug/pprof/)", s.dashLn.Addr())
 		}
 	}
 	return s, nil
+}
+
+// serveDash binds addr and serves the operator listener until Close:
+// the dashboard routes plus the net/http/pprof profiles.
+func (s *Session) serveDash(addr string, logf func(string, ...any)) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return fmt.Errorf("obs: dashboard listen %s: %w", addr, err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/", dashboard.Handler(s.Registry, s.Collector))
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	s.dash = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	s.dashLn = ln
+	s.dashDone = make(chan struct{})
+	go func() {
+		defer close(s.dashDone)
+		if err := s.dash.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			logf("dashboard listener stopped: %v", err)
+		}
+	}()
+	return nil
 }
 
 // StartCollector launches the collector loop after registering any
@@ -202,9 +226,10 @@ func (s *Session) Report(w io.Writer) error {
 	return nil
 }
 
-// Close tears the session down: the debug listener stops, the trace
-// file is flushed and closed, and the package-level codec probes are
-// detached so a later Session starts clean. Nil-safe.
+// Close tears the session down: the operator listener stops, the
+// collector takes its final poll, the trace file is flushed and closed,
+// and the package-level codec probes are detached so a later Session
+// starts clean. Nil-safe.
 func (s *Session) Close() error {
 	if s == nil {
 		return nil
@@ -215,14 +240,14 @@ func (s *Session) Close() error {
 	}
 	// Dashboard first (stops the SSE readers), then the collector (one
 	// final poll + sync), then the store the collector was writing to.
-	if err := s.dash.Close(); err != nil {
-		first = err
+	if s.dash != nil {
+		if err := s.dash.Close(); err != nil {
+			first = err
+		}
+		<-s.dashDone
 	}
 	s.Collector.Stop()
 	if err := s.store.Close(); err != nil && first == nil {
-		first = err
-	}
-	if err := s.debug.Close(); err != nil && first == nil {
 		first = err
 	}
 	if s.traceFile != nil {

@@ -3,10 +3,13 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestStartDisabledIsInert checks the all-flags-off session: nil
@@ -105,16 +108,70 @@ func TestCodecSelfCheck(t *testing.T) {
 	}
 }
 
-// TestStartDebugAddr brings the debug listener up on a free port.
-func TestStartDebugAddr(t *testing.T) {
-	s, err := Start(Options{Name: "test-obs-debug", DebugAddr: "localhost:0"})
+// startDash starts a session whose operator listener sits on a free
+// port and returns it with the listener's base URL.
+func startDash(t *testing.T, name string) (*Session, string) {
+	t.Helper()
+	s, err := Start(Options{Name: name, DashAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Registry == nil {
-		t.Error("debug session should imply a registry for /debug/vars")
+	return s, "http://" + s.dashLn.Addr().String()
+}
+
+// expectGets fetches each path under base and requires a 200 whose body
+// contains the wanted text.
+func expectGets(t *testing.T, client *http.Client, base string, cases []struct{ path, want string }) {
+	t.Helper()
+	for _, tc := range cases {
+		resp, err := client.Get(base + tc.path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", tc.path, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("GET %s: read body: %v", tc.path, err)
+		}
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), tc.want) {
+			t.Errorf("GET %s -> %d, want 200 containing %q: %.200s", tc.path, resp.StatusCode, tc.want, body)
+		}
 	}
+}
+
+// TestStartDashAddr brings the operator listener up on a free port: it
+// implies a live registry and collector, serves the dashboard and
+// /api/series, and stops accepting once the session closes.
+func TestStartDashAddr(t *testing.T) {
+	s, base := startDash(t, "test-obs-dash")
+	if s.Registry == nil || s.Collector == nil {
+		t.Fatal("dash session should imply a registry and a collector")
+	}
+	client := &http.Client{Timeout: 10 * time.Second}
+	expectGets(t, client, base, []struct{ path, want string }{
+		{"/", "readduo live"},
+		{"/api/series", ""},
+	})
 	if err := s.Close(); err != nil {
 		t.Errorf("Close: %v", err)
 	}
+	if resp, err := client.Get(base + "/"); err == nil {
+		resp.Body.Close()
+		t.Error("operator listener still accepting after Close")
+	}
+}
+
+// TestStartDashAddrPprof checks that the one operator listener also
+// carries what a separate debug listener used to: the net/http/pprof
+// profiles, and the registry's counters (on /metrics).
+func TestStartDashAddrPprof(t *testing.T) {
+	s, base := startDash(t, "test-obs-pprof")
+	defer s.Close()
+	s.Registry.Sink("sim").Counter("reads").Add(99)
+	expectGets(t, &http.Client{Timeout: 10 * time.Second}, base, []struct{ path, want string }{
+		{"/metrics", "sim_reads 99"},
+		{"/debug/pprof/", "goroutine"},
+		{"/debug/pprof/heap?debug=1", ""},
+		{"/debug/pprof/cmdline", ""},
+	})
 }

@@ -18,7 +18,12 @@
 // compute kernels (sim.RunContext, lifetime.SimulateMCContext): a flight
 // whose last waiter walks away is cancelled, not finished for nobody.
 //
-// The package binds no debug or profiling surface of its own; the
-// readduo-serve command wires the shared telemetry registry into the
-// existing internal/telemetry/debughttp listener.
+// Every Server is also a worker: it answers POST /compute, executing a
+// spec routed to it by another node's Remote backend on its own pool
+// (never through its cache tiers or its own Remote backend), so any
+// readduo-serve named in another node's -remote-workers serves as one.
+//
+// The package binds no profiling surface: net/http/pprof is served on
+// the -dash-addr listener that internal/obs starts, which keeps it out
+// of this package's import graph.
 package server

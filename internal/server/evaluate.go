@@ -16,7 +16,7 @@ import (
 
 // This file is the compute side of the backend split: a backend.Spec
 // (op + normalized body) deterministically reproduces the response
-// bytes on any node. The frontend handlers and the worker binary both
+// bytes on any node. The /v1/* handlers and a worker's /compute both
 // funnel through decodeSpec/newEvaluator, which is what makes responses
 // byte-identical across topologies.
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"time"
 
 	"readduo/internal/backend"
 	"readduo/internal/campaign"
@@ -176,6 +177,58 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, op string,
 	s.serve(w, r, req.Key(), spec)
 }
 
+// handleCompute executes one spec routed here by another node's Remote
+// backend. It always computes on this node's own Local pool, never
+// through its cache tiers or its backend: a cache write would let a
+// worker serve stale bytes, and a Remote hop would let nodes that list
+// each other forward in a cycle. The canonical key is re-derived from
+// the spec and a mismatch with the routed key is refused, so version
+// skew between nodes fails loudly instead of filling the caller's cache
+// with wrong bytes.
+func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		s.writeError(w, r, badf("method %s not allowed", r.Method))
+		return
+	}
+	var creq backend.ComputeRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&creq); err != nil {
+		s.writeError(w, r, badf("bad compute request: %v", err))
+		return
+	}
+	req, err := decodeSpec(creq.Spec, s.cfg.limits())
+	if err != nil {
+		s.writeError(w, r, err)
+		return
+	}
+	if key := req.Key(); key != creq.Key {
+		s.writeError(w, r, badf("spec key mismatch: routed %q, derived %q", creq.Key, key))
+		return
+	}
+
+	ctx := r.Context()
+	if h := r.Header.Get(backend.DeadlineHeader); h != "" {
+		ms, err := strconv.ParseInt(h, 10, 64)
+		if err != nil || ms <= 0 {
+			s.writeError(w, r, badf("bad %s header %q", backend.DeadlineHeader, h))
+			return
+		}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+		defer cancel()
+	}
+
+	buf, err := s.local.Compute(ctx, creq.Key, creq.Spec)
+	if err != nil {
+		s.writeError(w, r, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(buf)
+}
+
 // handleSchemes serves scheme-spec introspection: the registered
 // grammars, the named scheme sets, and (with ?spec=) the canonical name
 // a spec string resolves to. Pure metadata — served directly, uncached.
@@ -239,6 +292,9 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, key string, spec 
 // metrics see an honest status.
 const statusClientClosedRequest = 499
 
+// retryAfterSeconds is the Retry-After hint attached to 429 responses.
+const retryAfterSeconds = 1
+
 // writeError maps the store/backend error taxonomy onto HTTP statuses.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	var status int
@@ -253,7 +309,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 		status = http.StatusBadRequest
 	case errors.Is(err, campaign.ErrSaturated):
 		status = http.StatusTooManyRequests
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 	case errors.Is(err, campaign.ErrPoolClosed):
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, backend.ErrCircuitOpen):

@@ -20,14 +20,18 @@ import (
 // metric produce one cache entry, and float rendering goes through
 // strconv's shortest-round-trip %g.
 
-// limits are the admission caps a Server enforces before any work is
-// queued; they bound the cost of a single request.
+// limits are the configurable admission caps a Server enforces before
+// any work is queued; with maxGridCells and maxCompareSchemes they bound
+// the cost of a single request.
 type limits struct {
-	MaxGridCells      int    // LER table: len(intervals) * len(eccs)
-	MaxMCCells        int    // Monte-Carlo population size
-	MaxCompareBudget  uint64 // per-core instruction budget
-	MaxCompareSchemes int
+	MaxMCCells       int    // Monte-Carlo population size
+	MaxCompareBudget uint64 // per-core instruction budget
 }
+
+const (
+	maxGridCells      = 4096 // LER table: len(intervals) * len(eccs)
+	maxCompareSchemes = 8
+)
 
 // badRequestError marks client errors (HTTP 400) apart from compute
 // failures.
@@ -74,7 +78,7 @@ type lerRequest struct {
 	cfg drift.Config
 }
 
-func (q *lerRequest) normalize(lim limits) error {
+func (q *lerRequest) normalize(limits) error {
 	name, tempK, cfg, err := metricConfig(q.Metric, q.TempK)
 	if err != nil {
 		return err
@@ -96,8 +100,8 @@ func (q *lerRequest) normalize(lim limits) error {
 			return badf("interval %g out of range (0, 1e9] seconds", s)
 		}
 	}
-	if cells := len(q.ECCs) * len(q.Intervals); cells > lim.MaxGridCells {
-		return badf("grid of %d cells exceeds the %d-cell cap", cells, lim.MaxGridCells)
+	if cells := len(q.ECCs) * len(q.Intervals); cells > maxGridCells {
+		return badf("grid of %d cells exceeds the %d-cell cap", cells, maxGridCells)
 	}
 	sort.Ints(q.ECCs)
 	sort.Float64s(q.Intervals)
@@ -227,8 +231,8 @@ func (q *compareRequest) normalize(lim limits) error {
 	if len(q.Schemes) == 0 {
 		return badf("missing schemes (e.g. [\"Ideal\",\"LWT-4\"])")
 	}
-	if len(q.Schemes) > lim.MaxCompareSchemes {
-		return badf("%d schemes exceed the %d-scheme cap", len(q.Schemes), lim.MaxCompareSchemes)
+	if len(q.Schemes) > maxCompareSchemes {
+		return badf("%d schemes exceed the %d-scheme cap", len(q.Schemes), maxCompareSchemes)
 	}
 	q.schemes = q.schemes[:0]
 	seen := map[string]bool{}

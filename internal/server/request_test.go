@@ -9,12 +9,7 @@ import (
 )
 
 func testLimits() limits {
-	return limits{
-		MaxGridCells:      4096,
-		MaxMCCells:        10_000_000,
-		MaxCompareBudget:  2_000_000,
-		MaxCompareSchemes: 8,
-	}
+	return limits{MaxMCCells: 10_000_000, MaxCompareBudget: 2_000_000}
 }
 
 // TestLERKeyCanonical verifies that equivalent requests — defaults spelled

@@ -59,15 +59,12 @@ type Config struct {
 	// ComputeTimeout caps one computation on a worker; <= 0 selects the
 	// request timeout.
 	ComputeTimeout time.Duration
-	// RetryAfter is the hint attached to 429 responses; <= 0 selects 1 s.
-	RetryAfter time.Duration
-	// MaxGridCells, MaxMCCells, MaxCompareBudget and MaxCompareSchemes
-	// cap per-request work; <= 0 selects 4096 cells, 10M cells, 2M
-	// instructions and 8 schemes.
-	MaxGridCells      int
-	MaxMCCells        int
-	MaxCompareBudget  uint64
-	MaxCompareSchemes int
+	// MaxMCCells and MaxCompareBudget cap per-request work; <= 0 selects
+	// 10M cells and 2M instructions. A node whose caps are tighter than
+	// those of a node routing to it answers that node's /compute with
+	// 400 — keep them aligned.
+	MaxMCCells       int
+	MaxCompareBudget uint64
 	// Registry receives the server's telemetry; nil disables probes.
 	Registry *telemetry.Registry
 	// Collector, when non-nil, backs /api/series range queries with its
@@ -103,36 +100,20 @@ func (c *Config) applyDefaults() {
 	if c.ComputeTimeout <= 0 {
 		c.ComputeTimeout = c.RequestTimeout
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxGridCells <= 0 {
-		c.MaxGridCells = 4096
-	}
 	if c.MaxMCCells <= 0 {
 		c.MaxMCCells = 10_000_000
 	}
 	if c.MaxCompareBudget <= 0 {
 		c.MaxCompareBudget = 2_000_000
 	}
-	if c.MaxCompareSchemes <= 0 {
-		c.MaxCompareSchemes = 8
-	}
 }
 
 func (c Config) limits() limits {
-	return limits{
-		MaxGridCells:      c.MaxGridCells,
-		MaxMCCells:        c.MaxMCCells,
-		MaxCompareBudget:  c.MaxCompareBudget,
-		MaxCompareSchemes: c.MaxCompareSchemes,
-	}
+	return limits{MaxMCCells: c.MaxMCCells, MaxCompareBudget: c.MaxCompareBudget}
 }
 
 // serverProbes is the HTTP layer's instrumentation (the store has its
-// own); nil-safe like every telemetry metric. The scope parameterizes
-// the sink so the serve frontend ("server") and the worker binary
-// ("worker") share the implementation without colliding metrics.
+// own); nil-safe like every telemetry metric.
 type serverProbes struct {
 	sink      *telemetry.Sink
 	requests  *telemetry.Counter
@@ -144,8 +125,8 @@ type serverProbes struct {
 	byStatus map[int]*telemetry.Counter
 }
 
-func newServerProbes(reg *telemetry.Registry, scope string) *serverProbes {
-	s := reg.Sink(scope)
+func newServerProbes(reg *telemetry.Registry) *serverProbes {
+	s := reg.Sink("server")
 	return &serverProbes{
 		sink:      s,
 		requests:  s.Counter("http.requests"),
@@ -169,7 +150,7 @@ func (p *serverProbes) errsByStatus(status int) *telemetry.Counter {
 }
 
 // endpointProbes counts one handler's traffic under
-// <scope>.endpoint.<name>.*, the series the SLO tracker scores.
+// server.endpoint.<name>.*, the series the SLO tracker scores.
 type endpointProbes struct {
 	requests  *telemetry.Counter
 	errors    *telemetry.Counter
@@ -208,12 +189,14 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 
 // Server is the readduo-serve HTTP service: a mux over the query
 // handlers, a store (tiered cache + singleflight + backend), and a
-// drain-aware lifecycle.
+// drain-aware lifecycle. Every Server is also a worker: it answers the
+// POST /compute requests another node's Remote backend routes to it.
 type Server struct {
 	cfg         Config
 	reg         *telemetry.Registry
 	tel         *serverProbes
 	pool        *campaign.Pool
+	local       *backend.Local // this node's own pool; /compute runs here
 	be          backend.Backend
 	backendKind string
 	remote      *backend.Remote // nil unless RemoteWorkers configured
@@ -240,7 +223,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		reg:        cfg.Registry,
-		tel:        newServerProbes(cfg.Registry, "server"),
+		tel:        newServerProbes(cfg.Registry),
 		base:       base,
 		cancelBase: cancel,
 	}
@@ -249,13 +232,13 @@ func New(cfg Config) (*Server, error) {
 		queueWait.Observe(uint64(d.Milliseconds()))
 	})
 
-	local := backend.NewLocal(s.pool, newEvaluator(cfg.limits(), cfg.Registry), cfg.ComputeTimeout)
+	s.local = backend.NewLocal(s.pool, newEvaluator(cfg.limits(), cfg.Registry), cfg.ComputeTimeout)
 	switch {
 	case cfg.Backend != nil:
 		s.be = cfg.Backend
 		s.backendKind = "custom"
 	case len(cfg.RemoteWorkers) > 0:
-		r, err := backend.NewRemote(cfg.RemoteWorkers, local, backend.RemoteOptions{
+		r, err := backend.NewRemote(cfg.RemoteWorkers, s.local, backend.RemoteOptions{
 			ComputeTimeout: cfg.ComputeTimeout,
 			Sink:           cfg.Registry.Sink("server"),
 		})
@@ -268,7 +251,7 @@ func New(cfg Config) (*Server, error) {
 		s.remote = r
 		s.backendKind = fmt.Sprintf("remote[%d]", len(cfg.RemoteWorkers))
 	default:
-		s.be = local
+		s.be = s.local
 		s.backendKind = "local"
 	}
 
@@ -292,6 +275,7 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/mc", s.instrument("mc", s.handleMC))
 	s.mux.HandleFunc("/v1/compare", s.instrument("compare", s.handleCompare))
 	s.mux.HandleFunc("/v1/schemes", s.instrument("schemes", s.handleSchemes))
+	s.mux.HandleFunc(backend.ComputePath, s.instrument("compute", s.handleCompute))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/statusz", s.handleStatusz)

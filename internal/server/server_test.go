@@ -210,7 +210,7 @@ func TestValidationErrors(t *testing.T) {
 // box: occupy the workers and the queue directly), then checks the HTTP
 // mapping: 429 with a Retry-After hint.
 func TestSaturationReturns429(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, RetryAfter: 2 * time.Second})
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	block := make(chan struct{})
 	defer close(block)
 	// One task executing + one queued = saturated. The first Submit
@@ -227,8 +227,8 @@ func TestSaturationReturns429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429 (%s)", resp.StatusCode, body)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want 2", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want 1", ra)
 	}
 	if rej := srv.reg.Sink("server").Counter("compute.rejected").Value(); rej != 1 {
 		t.Fatalf("compute.rejected = %d, want 1", rej)

@@ -12,14 +12,17 @@ import (
 	"readduo/internal/telemetry"
 )
 
-// startWorkerTS runs a Worker under httptest and returns its host:port
-// address (the form RemoteWorkers expects) plus a kill switch.
+// startWorkerTS runs a Server under httptest as a worker and returns its
+// host:port address (the form RemoteWorkers expects) plus a kill switch.
 func startWorkerTS(t *testing.T) (string, func()) {
 	t.Helper()
-	wk := NewWorker(WorkerConfig{
+	wk, err := New(Config{
 		Workers:  2,
 		Registry: telemetry.NewRegistry("worker-test"),
 	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
 	ts := httptest.NewServer(wk.Handler())
 	stop := func() {
 		ts.Close()

@@ -1,290 +1,30 @@
 package server
 
-import (
-	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"net"
-	"net/http"
-	"runtime"
-	"strconv"
-	"sync/atomic"
-	"time"
+import "readduo/internal/telemetry"
 
-	"readduo/internal/backend"
-	"readduo/internal/campaign"
-	"readduo/internal/dashboard"
-	"readduo/internal/telemetry"
-	"readduo/internal/tsdb"
-)
+// Worker is a Server. Any Server answers POST /compute, so a worker is
+// just a node named in another node's RemoteWorkers.
+//
+// Deprecated: use Server; this shim remains for existing callers.
+type Worker = Server
 
-// WorkerConfig sizes a Worker. The zero value is usable; defaults
-// mirror the frontend Server where the knobs overlap.
+// WorkerConfig sizes a Worker: a default Server on Addr.
+//
+// Deprecated: use Config.
 type WorkerConfig struct {
-	// Addr is the listen address; empty selects ":8081".
-	Addr string
-	// Workers bounds concurrent computations; <= 0 selects GOMAXPROCS.
-	Workers int
-	// QueueDepth bounds queued computations; <= 0 selects 2x workers.
-	QueueDepth int
-	// ComputeTimeout caps one computation; <= 0 selects 30 s. The
-	// frontend's X-Deadline-Ms header tightens it per request.
-	ComputeTimeout time.Duration
-	// RetryAfter is the hint attached to 429 responses; <= 0 selects 1 s.
-	RetryAfter time.Duration
-	// MaxGridCells, MaxMCCells, MaxCompareBudget and MaxCompareSchemes
-	// cap per-request work exactly like the frontend's. A worker whose
-	// caps are tighter than its frontend's will 400 specs the frontend
-	// admitted — keep them aligned.
-	MaxGridCells      int
-	MaxMCCells        int
-	MaxCompareBudget  uint64
-	MaxCompareSchemes int
-	// Registry receives worker.* telemetry; nil disables probes.
+	Addr     string
 	Registry *telemetry.Registry
-	// Collector, when non-nil, backs the worker's /api/series route.
-	// Like the frontend, the worker mounts observability routes but the
-	// obs session owns the collector lifecycle.
-	Collector *tsdb.Collector
 }
 
-func (c *WorkerConfig) applyDefaults() {
-	if c.Addr == "" {
-		c.Addr = ":8081"
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 2 * c.Workers
-	}
-	if c.ComputeTimeout <= 0 {
-		c.ComputeTimeout = 30 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxGridCells <= 0 {
-		c.MaxGridCells = 4096
-	}
-	if c.MaxMCCells <= 0 {
-		c.MaxMCCells = 10_000_000
-	}
-	if c.MaxCompareBudget <= 0 {
-		c.MaxCompareBudget = 2_000_000
-	}
-	if c.MaxCompareSchemes <= 0 {
-		c.MaxCompareSchemes = 8
-	}
-}
-
-// Worker is the readduo-worker HTTP service: the compute half of the
-// serving split. It exposes POST /compute over the same evaluator the
-// frontend runs locally — which is what keeps responses byte-identical
-// regardless of which node produced them — plus /healthz and /readyz
-// for the frontend's circuit breaker and load balancers. Workers do not
-// cache: the frontend's tiered cache is the single cache authority, so
-// a worker restart never serves stale bytes.
-type Worker struct {
-	cfg   WorkerConfig
-	tel   *serverProbes
-	pool  *campaign.Pool
-	local *backend.Local
-	mux   *http.ServeMux
-	http  *http.Server
-
-	base       context.Context
-	cancelBase context.CancelFunc
-
-	ready atomic.Bool
-	ln    net.Listener
-}
-
-// NewWorker builds a Worker from cfg (defaults applied; cfg is not
-// mutated).
+// NewWorker builds a default Server listening on cfg.Addr.
+//
+// Deprecated: use New.
 func NewWorker(cfg WorkerConfig) *Worker {
-	cfg.applyDefaults()
-	base, cancel := context.WithCancel(context.Background())
-	w := &Worker{
-		cfg:        cfg,
-		tel:        newServerProbes(cfg.Registry, "worker"),
-		base:       base,
-		cancelBase: cancel,
-	}
-	queueWait := w.tel.sink.Histogram("pool.queue_wait_ms")
-	w.pool = campaign.NewPool(cfg.Workers, cfg.QueueDepth, func(d time.Duration) {
-		queueWait.Observe(uint64(d.Milliseconds()))
-	})
-	w.local = backend.NewLocal(w.pool, newEvaluator(cfg.limits(), cfg.Registry), cfg.ComputeTimeout)
-
-	w.mux = http.NewServeMux()
-	w.mux.HandleFunc(backend.ComputePath, w.handleCompute)
-	w.mux.HandleFunc("/healthz", w.handleHealthz)
-	w.mux.HandleFunc("/readyz", w.handleReadyz)
-	w.mux.HandleFunc("/metrics", dashboard.Metrics(cfg.Registry))
-	w.mux.HandleFunc("/api/series", dashboard.Series(cfg.Collector.Store()))
-	w.http = &http.Server{Handler: w.mux}
-	return w
-}
-
-// TelemetrySamples mirrors the frontend's depth samples for the
-// worker's pool.
-func (w *Worker) TelemetrySamples(int64, telemetry.Snapshot) []tsdb.Sample {
-	return []tsdb.Sample{
-		{Name: "worker.pool.depth", Value: float64(w.pool.Depth())},
-	}
-}
-
-func (c WorkerConfig) limits() limits {
-	return limits{
-		MaxGridCells:      c.MaxGridCells,
-		MaxMCCells:        c.MaxMCCells,
-		MaxCompareBudget:  c.MaxCompareBudget,
-		MaxCompareSchemes: c.MaxCompareSchemes,
-	}
-}
-
-// Handler exposes the route table (useful under httptest).
-func (w *Worker) Handler() http.Handler { return w.mux }
-
-// handleCompute executes one routed spec. The worker re-derives the
-// canonical key from the spec and refuses a mismatch with the routed
-// key: version skew between frontend and worker must fail loudly, not
-// fill the frontend's cache with wrong bytes.
-func (wk *Worker) handleCompute(w http.ResponseWriter, r *http.Request) {
-	wk.tel.requests.Inc()
-	wk.tel.inflight.Add(1)
-	start := time.Now()
-	defer func() {
-		wk.tel.inflight.Add(-1)
-		wk.tel.requestMS.Observe(uint64(time.Since(start).Milliseconds()))
-	}()
-	if r.Method != http.MethodPost {
-		wk.writeError(w, r, badf("method %s not allowed", r.Method))
-		return
-	}
-	var creq backend.ComputeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&creq); err != nil {
-		wk.writeError(w, r, badf("bad compute request: %v", err))
-		return
-	}
-
-	req, err := decodeSpec(creq.Spec, wk.cfg.limits())
+	s, err := New(Config{Addr: cfg.Addr, Registry: cfg.Registry})
 	if err != nil {
-		wk.writeError(w, r, err)
-		return
+		// New fails only on a disk tier or a remote worker list, and this
+		// config sets neither.
+		panic(err)
 	}
-	if key := req.Key(); key != creq.Key {
-		wk.writeError(w, r, badf("spec key mismatch: routed %q, derived %q", creq.Key, key))
-		return
-	}
-
-	ctx := r.Context()
-	if h := r.Header.Get(backend.DeadlineHeader); h != "" {
-		ms, err := strconv.ParseInt(h, 10, 64)
-		if err != nil || ms <= 0 {
-			wk.writeError(w, r, badf("bad %s header %q", backend.DeadlineHeader, h))
-			return
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
-		defer cancel()
-	}
-
-	buf, err := wk.local.Compute(ctx, creq.Key, creq.Spec)
-	if err != nil {
-		wk.writeError(w, r, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(buf)
-}
-
-// writeError reuses the frontend's taxonomy so Remote sees identical
-// statuses from a worker and from its own local path.
-func (wk *Worker) writeError(w http.ResponseWriter, r *http.Request, err error) {
-	var status int
-	var bad badRequestError
-	switch {
-	case errors.As(err, &bad):
-		status = http.StatusBadRequest
-	case errors.Is(err, campaign.ErrSaturated):
-		status = http.StatusTooManyRequests
-		w.Header().Set("Retry-After", strconv.Itoa(int(wk.cfg.RetryAfter.Seconds())))
-	case errors.Is(err, campaign.ErrPoolClosed):
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		if r.Context().Err() != nil {
-			status = statusClientClosedRequest
-		} else {
-			status = http.StatusServiceUnavailable // worker draining
-		}
-	default:
-		status = http.StatusInternalServerError
-	}
-	wk.tel.errsByStatus(status).Inc()
-	buf, merr := json.Marshal(map[string]string{"error": err.Error()})
-	if merr != nil {
-		http.Error(w, `{"error":"encode failure"}`, http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(buf, '\n'))
-}
-
-func (wk *Worker) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Write([]byte("{\"status\":\"ok\"}\n"))
-}
-
-func (wk *Worker) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if !wk.ready.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write([]byte("{\"status\":\"draining\"}\n"))
-		return
-	}
-	w.Write([]byte(fmt.Sprintf("{\"status\":\"ready\",\"queue_depth\":%d}\n", wk.pool.Depth())))
-}
-
-// Start binds the listener and serves until Shutdown.
-func (w *Worker) Start() error {
-	ln, err := net.Listen("tcp", w.cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("worker: listen %s: %w", w.cfg.Addr, err)
-	}
-	w.ln = ln
-	w.ready.Store(true)
-	go func() {
-		if err := w.http.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			w.tel.errsByStatus(http.StatusInternalServerError).Inc()
-		}
-	}()
-	return nil
-}
-
-// Addr reports the bound listen address.
-func (w *Worker) Addr() string {
-	if w.ln == nil {
-		return w.cfg.Addr
-	}
-	return w.ln.Addr().String()
-}
-
-// Shutdown drains like the frontend: stop accepting, wait for in-flight
-// handlers up to ctx's deadline, then abort remaining computations and
-// drain the pool.
-func (w *Worker) Shutdown(ctx context.Context) error {
-	w.ready.Store(false)
-	err := w.http.Shutdown(ctx)
-	w.cancelBase()
-	w.pool.Close()
-	return err
+	return s
 }

@@ -24,7 +24,7 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry with the given name (the name
-// prefixes the expvar publication and the snapshot table heading).
+// prefixes the /metrics exposition and the snapshot table heading).
 func NewRegistry(name string) *Registry {
 	return &Registry{
 		name:     name,

@@ -1,8 +1,9 @@
 // Package telemetry is the simulator's dependency-free instrumentation
 // layer: race-safe atomic counters and gauges, contention-striped log2
 // histograms, named scoped registries, and a span-style stage tracer
-// that emits JSONL trace events. The opt-in debug HTTP listener
-// (net/http/pprof and expvar) lives in the debughttp subpackage.
+// that emits JSONL trace events. It imports no net/http: the HTTP
+// surfaces (/metrics, the dashboard, the pprof profiles) live in
+// internal/dashboard and internal/obs.
 //
 // The central design constraint is that instrumentation must cost
 // (almost) nothing when disabled. Every metric type and the Sink handle
