@@ -9,7 +9,7 @@
 //	              [-disk-cache DIR] [-disk-cache-bytes N]
 //	              [-remote-workers host:port,host:port]
 //	              [-request-timeout 30s] [-compute-timeout 30s]
-//	              [-drain-timeout 30s] [-max-mc-cells N] [-max-budget N]
+//	              [-drain-timeout 30s]
 //	              [-telemetry-interval 1s] [-telemetry-dir DIR]
 //	              [-dash-addr :8090]
 //
@@ -64,8 +64,6 @@ func main() {
 		requestTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request wall-time cap")
 		computeTimeout = flag.Duration("compute-timeout", 0, "per-computation cap (0 = request timeout)")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline")
-		maxMCCells     = flag.Int("max-mc-cells", 0, "Monte-Carlo population cap (0 = 10M)")
-		maxBudget      = flag.Uint64("max-budget", 0, "comparison instruction-budget cap (0 = 2M)")
 		telemetryIntvl = flag.Duration("telemetry-interval", 0, "metric collection period (0 = off unless -telemetry-dir/-dash-addr)")
 		telemetryDir   = flag.String("telemetry-dir", "", "directory persisting collected series across restarts (empty = in-memory)")
 		dashAddr       = flag.String("dash-addr", "", "dashboard, /metrics and pprof listener address (empty = off)")
@@ -76,8 +74,7 @@ func main() {
 		addr: *addr, workers: *workers, queue: *queue, cacheBytes: *cacheBytes,
 		diskCache: *diskCache, diskCacheBytes: *diskCacheBytes,
 		remoteWorkers:  splitAddrs(*remoteWorkers),
-		requestTimeout: *requestTimeout, computeTimeout: *computeTimeout,
-		drainTimeout: *drainTimeout, maxMCCells: *maxMCCells, maxBudget: *maxBudget,
+		requestTimeout: *requestTimeout, computeTimeout: *computeTimeout, drainTimeout: *drainTimeout,
 		telemetryInterval: *telemetryIntvl, telemetryDir: *telemetryDir, dashAddr: *dashAddr,
 	}, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "readduo-serve:", err)
@@ -95,8 +92,6 @@ type config struct {
 	requestTimeout    time.Duration
 	computeTimeout    time.Duration
 	drainTimeout      time.Duration
-	maxMCCells        int
-	maxBudget         uint64
 	telemetryInterval time.Duration
 	telemetryDir      string
 	dashAddr          string
@@ -156,20 +151,18 @@ func run(cfg config, started func(addr string)) error {
 
 	tracker := slo.NewTracker("server", defaultObjectives(), nil)
 	srv, err := server.New(server.Config{
-		Addr:             cfg.addr,
-		Workers:          cfg.workers,
-		QueueDepth:       cfg.queue,
-		CacheBytes:       cfg.cacheBytes,
-		DiskCacheDir:     cfg.diskCache,
-		DiskCacheBytes:   cfg.diskCacheBytes,
-		RemoteWorkers:    cfg.remoteWorkers,
-		RequestTimeout:   cfg.requestTimeout,
-		ComputeTimeout:   cfg.computeTimeout,
-		MaxMCCells:       cfg.maxMCCells,
-		MaxCompareBudget: cfg.maxBudget,
-		Registry:         session.Registry,
-		Collector:        session.Collector,
-		SLO:              tracker,
+		Addr:           cfg.addr,
+		Workers:        cfg.workers,
+		QueueDepth:     cfg.queue,
+		CacheBytes:     cfg.cacheBytes,
+		DiskCacheDir:   cfg.diskCache,
+		DiskCacheBytes: cfg.diskCacheBytes,
+		RemoteWorkers:  cfg.remoteWorkers,
+		RequestTimeout: cfg.requestTimeout,
+		ComputeTimeout: cfg.computeTimeout,
+		Registry:       session.Registry,
+		Collector:      session.Collector,
+		SLO:            tracker,
 	})
 	if err != nil {
 		return err

@@ -73,7 +73,6 @@ type options struct {
 	telemIntvl  time.Duration
 	telemDir    string
 	dashAddr    string
-	traceSpans  string
 	out         io.Writer // reports
 	progress    io.Writer // nil silences progress lines
 }
@@ -171,7 +170,6 @@ func parseOptions(command string, args []string, stdout, stderr io.Writer) (opti
 	fs.DurationVar(&opts.telemIntvl, "telemetry-interval", 0, "stream registry snapshots to a time-series store every interval (0 = off)")
 	fs.StringVar(&opts.telemDir, "telemetry-dir", "", "directory persisting streamed series (empty = in-memory; implies -telemetry-interval 1s)")
 	fs.StringVar(&opts.dashAddr, "dash-addr", "", "serve the live dashboard, /metrics, /api/series and net/http/pprof on this address (e.g. localhost:6060; implies -telemetry-interval 1s)")
-	fs.StringVar(&opts.traceSpans, "trace-spans", "", "stream per-job span events to this JSONL file")
 	return opts, parseFlags(fs, args)
 }
 
@@ -352,7 +350,6 @@ func runCampaign(ctx context.Context, spec campaign.Spec, opts options) (*campai
 	session, err := obs.Start(obs.Options{
 		Name:              "readduo-sim",
 		Telemetry:         opts.telemetry,
-		TracePath:         opts.traceSpans,
 		TelemetryInterval: opts.telemIntvl,
 		SeriesDir:         opts.telemDir,
 		DashAddr:          opts.dashAddr,
@@ -371,7 +368,6 @@ func runCampaign(ctx context.Context, spec campaign.Spec, opts options) (*campai
 	campaignOpts := campaign.Options{
 		Parallel:  opts.parallel,
 		Telemetry: session.Registry,
-		Tracer:    session.Tracer,
 	}
 	if opts.progress != nil {
 		campaignOpts.Progress = func(format string, args ...any) {

@@ -11,6 +11,12 @@
 // up to t errors, but its designed distance 2t+1 lets the decoder *flag*
 // heavier patterns as uncorrectable instead of returning wrong data. Decode
 // reports that distinction through Status.
+//
+// The package is a pure codec: it depends only on internal/gf and keeps no
+// package state or telemetry. The device model (internal/cell,
+// internal/readout) runs it per line; the statistical simulator
+// (internal/sim) models its outcomes as precomputed line-error
+// probabilities instead and never calls it.
 package bch
 
 import (
@@ -155,7 +161,6 @@ func (c *Code) Encode(data []byte) ([]byte, error) {
 	if len(data) != c.DataBytes() {
 		return nil, fmt.Errorf("%w: data %dB, want %dB", ErrBadLength, len(data), c.DataBytes())
 	}
-	activeProbes.Load().addEncode()
 	// Systematic encoding: remainder of x^parity * d(x) modulo g(x),
 	// computed with the standard LFSR: consume data bits from the highest
 	// codeword position downward.
@@ -190,17 +195,6 @@ func (c *Code) Decode(data, parity []byte) (Result, error) {
 		return Result{}, fmt.Errorf("%w: data %dB parity %dB, want %dB/%dB",
 			ErrBadLength, len(data), len(parity), c.DataBytes(), c.ParityBytes())
 	}
-	p := activeProbes.Load()
-	res, err := c.decode(data, parity, p)
-	if err == nil {
-		p.addOutcome(res)
-	}
-	return res, err
-}
-
-// decode is Decode's body, with the probe set resolved once up front.
-func (c *Code) decode(data, parity []byte, p *probes) (Result, error) {
-	p.addSyndrome()
 	synd := c.syndromes(data, parity)
 	allZero := true
 	for _, s := range synd {
@@ -212,7 +206,7 @@ func (c *Code) decode(data, parity []byte, p *probes) (Result, error) {
 	if allZero {
 		return Result{Status: StatusClean}, nil
 	}
-	sigma := c.berlekampMassey(synd, p)
+	sigma := c.berlekampMassey(synd)
 	deg := len(sigma) - 1
 	if deg < 1 || deg > c.t {
 		return Result{Status: StatusUncorrectable}, nil
@@ -256,8 +250,7 @@ func (c *Code) syndromes(data, parity []byte) []uint32 {
 
 // berlekampMassey returns the error-locator polynomial sigma (sigma[0]=1)
 // for the given syndrome sequence.
-func (c *Code) berlekampMassey(synd []uint32, p *probes) []uint32 {
-	p.addBMIterations(uint64(len(synd)))
+func (c *Code) berlekampMassey(synd []uint32) []uint32 {
 	f := c.field
 	sigma := []uint32{1}
 	prev := []uint32{1}

@@ -39,7 +39,9 @@ const (
 	StatusFailed Status = "failed"
 )
 
-// Record is one journaled job completion.
+// Record is one journaled job completion. It is the campaign's only
+// per-job record: key, worker, outcome and wall time live here and
+// nowhere else.
 type Record struct {
 	Key       string      `json:"key"`
 	Index     int         `json:"index"`

@@ -29,8 +29,6 @@ type Options struct {
 	// the run stamps a counter summary into it at drain so resumed
 	// campaigns can report cumulative statistics.
 	Telemetry *telemetry.Registry
-	// Tracer, when non-nil, records one span per executed job.
-	Tracer *telemetry.Tracer
 	// CancelInFlight threads the run context into each executing
 	// simulation: cancelling ctx then aborts in-flight jobs immediately
 	// (they are journaled as failed with the context error and re-run on
@@ -230,9 +228,6 @@ func runJob(ctx context.Context, spec Spec, job Job, worker int, tel campaignPro
 		Seed:      job.Seed,
 		Worker:    worker,
 	}
-	span := opts.Tracer.Start("campaign.job")
-	span.SetAttr("key", rec.Key)
-	span.SetAttr("worker", worker)
 	start := time.Now()
 	defer func() {
 		rec.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
@@ -243,8 +238,6 @@ func runJob(ctx context.Context, spec Spec, job Job, worker int, tel campaignPro
 			tel.jobsPanic.Inc()
 		}
 		tel.wallMS.Observe(uint64(rec.WallMS))
-		span.SetAttr("status", string(rec.Status))
-		span.End()
 	}()
 	cfg := sim.DefaultConfig(job.Benchmark)
 	if spec.Budget > 0 {

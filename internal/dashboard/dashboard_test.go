@@ -16,7 +16,7 @@ import (
 
 func TestIndexServed(t *testing.T) {
 	reg := telemetry.NewRegistry("test")
-	store, _ := tsdb.Open("", tsdb.Options{})
+	store, _ := tsdb.Open("")
 	c := tsdb.NewCollector(reg, store, time.Hour)
 	ts := httptest.NewServer(Handler(reg, c))
 	defer ts.Close()
@@ -76,7 +76,7 @@ func TestMetricsHandler(t *testing.T) {
 }
 
 func TestSeriesHandler(t *testing.T) {
-	store, _ := tsdb.Open("", tsdb.Options{})
+	store, _ := tsdb.Open("")
 	for i := 0; i < 5; i++ {
 		store.Append(int64(i*1000), []tsdb.Sample{{Name: "a", Value: float64(i)}})
 	}
@@ -122,7 +122,7 @@ func TestSeriesHandler(t *testing.T) {
 func TestEventsStream(t *testing.T) {
 	reg := telemetry.NewRegistry("test")
 	ctr := reg.Counter("ticks")
-	store, _ := tsdb.Open("", tsdb.Options{})
+	store, _ := tsdb.Open("")
 	c := tsdb.NewCollector(reg, store, 10*time.Millisecond)
 	c.Start()
 	defer c.Stop()

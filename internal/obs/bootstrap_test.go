@@ -9,9 +9,8 @@ import (
 )
 
 // TestStartForceRegistry covers the long-running-service bootstrap
-// (readduo-serve): ForceRegistry alone yields a live registry with the
-// codec probes attached, but no exit report — Report stays silent and
-// writes no JSON file.
+// (readduo-serve): ForceRegistry alone yields a live registry, but no
+// exit report — Report stays silent and writes no JSON file.
 func TestStartForceRegistry(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "telemetry.json")
@@ -21,14 +20,6 @@ func TestStartForceRegistry(t *testing.T) {
 	}
 	if s.Registry == nil {
 		t.Fatal("ForceRegistry session has no registry")
-	}
-	if s.Tracer != nil {
-		t.Error("ForceRegistry session has a tracer")
-	}
-	// The self-check ran against the live registry: the codec counters
-	// must already be seeded.
-	if snap := s.Registry.Snapshot(); snap.Counters["bch.encode"] == 0 {
-		t.Errorf("codec probes not seeded: %v", snap.Counters)
 	}
 
 	var buf bytes.Buffer
@@ -43,16 +34,6 @@ func TestStartForceRegistry(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("Close: %v", err)
-	}
-}
-
-// TestStartTraceFileError: an uncreatable trace path must fail Start
-// (and tear the partially built session down, which Close tolerates).
-func TestStartTraceFileError(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "no-such-dir", "spans.jsonl")
-	if _, err := Start(Options{Name: "test", TracePath: path}); err == nil ||
-		!strings.Contains(err.Error(), "trace file") {
-		t.Fatalf("Start with bad trace path = %v, want trace file error", err)
 	}
 }
 
@@ -74,12 +55,13 @@ func TestReportJSONPathError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.Registry.Sink("job").Counter("done").Inc()
 	var buf bytes.Buffer
 	if err := s.Report(&buf); err == nil ||
 		!strings.Contains(err.Error(), "telemetry json") {
 		t.Fatalf("Report with bad JSON path = %v, want telemetry json error", err)
 	}
-	if !strings.Contains(buf.String(), "bch.encode") {
+	if !strings.Contains(buf.String(), "job.done") {
 		t.Errorf("table not rendered before the JSON failure:\n%s", buf.String())
 	}
 }

@@ -1,9 +1,10 @@
 // Package obs wires the telemetry layer into the command-line tools.
 // Every command shares the same observability flags, the same bootstrap
-// order (registry, codec probes, cache probes, span tracer, series
-// store, operator listener), and the same exit report (snapshot table
-// plus telemetry.json); obs centralizes that plumbing so the commands
-// stay focused on their evaluation logic.
+// order (registry, cache probes, series store, operator listener), and
+// the same exit report (snapshot table plus telemetry.json); obs
+// centralizes that plumbing so the commands stay focused on their
+// evaluation logic. The registry counts only work the process does:
+// obs seeds no metric of its own.
 //
 // The operator listener (-dash-addr) is the one HTTP surface obs
 // starts: the live dashboard, /events, /metrics and /api/series from
@@ -12,8 +13,8 @@
 // out of internal/server's import graph.
 //
 // A Session started with every feature disabled is an inert value:
-// its Registry and Tracer are nil, which the telemetry package treats
-// as permanently disabled probes, so commands can thread the session
+// its Registry is nil, which the telemetry package treats as
+// permanently disabled probes, so commands can thread the session
 // through unconditionally.
 package obs
 
@@ -27,7 +28,6 @@ import (
 	"os"
 	"time"
 
-	"readduo/internal/bch"
 	"readduo/internal/dashboard"
 	"readduo/internal/sim"
 	"readduo/internal/telemetry"
@@ -42,9 +42,6 @@ type Options struct {
 	// Telemetry enables the metric registry and the exit report
 	// (snapshot table plus JSONPath). The -telemetry flag.
 	Telemetry bool
-	// TracePath, when non-empty, streams span events to that JSONL
-	// file. The -trace-spans flag.
-	TracePath string
 	// JSONPath is where Report writes the snapshot JSON; empty
 	// selects "telemetry.json".
 	JSONPath string
@@ -79,8 +76,6 @@ type Session struct {
 	// Registry is the command's metric registry; nil unless
 	// -telemetry, ForceRegistry or the collector asked for one.
 	Registry *telemetry.Registry
-	// Tracer streams span events; nil unless -trace-spans was given.
-	Tracer *telemetry.Tracer
 	// Collector streams registry snapshots into the time-series store;
 	// nil (inert) unless TelemetryInterval, SeriesDir or DashAddr was
 	// given. It is built but not started: commands register their
@@ -88,10 +83,9 @@ type Session struct {
 	// call StartCollector.
 	Collector *tsdb.Collector
 
-	report    bool
-	jsonPath  string
-	traceFile *os.File
-	store     *tsdb.Store
+	report   bool
+	jsonPath string
+	store    *tsdb.Store
 
 	// dash is the operator listener; dashLn its bound listener and
 	// dashDone closed once its Serve goroutine has returned.
@@ -113,33 +107,13 @@ func Start(o Options) (*Session, error) {
 		logf = func(string, ...any) {}
 	}
 	collect := o.TelemetryInterval > 0 || o.SeriesDir != "" || o.DashAddr != ""
-	if !o.Telemetry && o.TracePath == "" && !o.ForceRegistry && !collect {
+	if !o.Telemetry && !o.ForceRegistry && !collect {
 		return s, nil
 	}
-	if o.Telemetry || o.ForceRegistry || collect {
-		s.Registry = telemetry.NewRegistry(o.Name)
-		bch.EnableTelemetry(s.Registry)
-		sim.RegisterCacheTelemetry(s.Registry)
-		// The statistical simulator models the line codec without
-		// executing it, so exercise the real codec once: the self-check
-		// validates the detect-vs-correct thresholds the model assumes
-		// and seeds the bch.* counters with a known workload.
-		if err := CodecSelfCheck(); err != nil {
-			s.Close()
-			return nil, fmt.Errorf("obs: BCH codec self-check: %w", err)
-		}
-	}
-	if o.TracePath != "" {
-		f, err := os.Create(o.TracePath)
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("obs: trace file: %w", err)
-		}
-		s.traceFile = f
-		s.Tracer = telemetry.NewTracer(f)
-	}
+	s.Registry = telemetry.NewRegistry(o.Name)
+	sim.RegisterCacheTelemetry(s.Registry)
 	if collect {
-		store, err := tsdb.Open(o.SeriesDir, tsdb.Options{})
+		store, err := tsdb.Open(o.SeriesDir)
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("obs: series store: %w", err)
@@ -226,18 +200,14 @@ func (s *Session) Report(w io.Writer) error {
 	return nil
 }
 
-// Close tears the session down: the operator listener stops, the
-// collector takes its final poll, the trace file is flushed and closed,
-// and the package-level codec probes are detached so a later Session
-// starts clean. Nil-safe.
+// Close tears the session down: the operator listener stops, then the
+// collector takes its final poll and the series store is closed.
+// Nil-safe.
 func (s *Session) Close() error {
 	if s == nil {
 		return nil
 	}
 	var first error
-	if s.Registry != nil {
-		bch.EnableTelemetry(nil)
-	}
 	// Dashboard first (stops the SSE readers), then the collector (one
 	// final poll + sync), then the store the collector was writing to.
 	if s.dash != nil {
@@ -249,14 +219,6 @@ func (s *Session) Close() error {
 	s.Collector.Stop()
 	if err := s.store.Close(); err != nil && first == nil {
 		first = err
-	}
-	if s.traceFile != nil {
-		if err := s.Tracer.Err(); err != nil && first == nil {
-			first = err
-		}
-		if err := s.traceFile.Close(); err != nil && first == nil {
-			first = err
-		}
 	}
 	return first
 }

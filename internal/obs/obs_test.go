@@ -7,19 +7,20 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 )
 
 // TestStartDisabledIsInert checks the all-flags-off session: nil
-// registry and tracer, no report output, clean close.
+// registry, no report output, clean close.
 func TestStartDisabledIsInert(t *testing.T) {
 	s, err := Start(Options{Name: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Registry != nil || s.Tracer != nil {
+	if s.Registry != nil || s.Collector != nil {
 		t.Errorf("disabled session has live components: %+v", s)
 	}
 	var buf bytes.Buffer
@@ -34,10 +35,10 @@ func TestStartDisabledIsInert(t *testing.T) {
 	}
 }
 
-// TestStartTelemetryReportsSelfCheck checks the full bootstrap: the
-// codec self-check seeds the bch counters, the table shows them, and
-// the JSON file round-trips.
-func TestStartTelemetryReportsSelfCheck(t *testing.T) {
+// TestStartTelemetryReportsCounters checks the full bootstrap: a
+// counter the command increments shows up in the snapshot table, and
+// the JSON file round-trips it.
+func TestStartTelemetryReportsCounters(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "telemetry.json")
 	s, err := Start(Options{Name: "test", Telemetry: true, JSONPath: jsonPath})
 	if err != nil {
@@ -47,16 +48,14 @@ func TestStartTelemetryReportsSelfCheck(t *testing.T) {
 	if s.Registry == nil {
 		t.Fatal("telemetry session has no registry")
 	}
+	s.Registry.Sink("job").Counter("done").Add(3)
 
 	var buf bytes.Buffer
 	if err := s.Report(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"bch.encode", "bch.decode.corrected", "bch.decode.uncorrectable"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report table missing %s:\n%s", want, out)
-		}
+	if !strings.Contains(buf.String(), "job.done") {
+		t.Errorf("report table missing job.done:\n%s", buf.String())
 	}
 
 	data, err := os.ReadFile(jsonPath)
@@ -73,38 +72,43 @@ func TestStartTelemetryReportsSelfCheck(t *testing.T) {
 	if snap.Name != "test" {
 		t.Errorf("snapshot name = %q", snap.Name)
 	}
-	if snap.Counters["bch.encode"] == 0 {
-		t.Error("self-check left bch.encode at zero")
+	if got := snap.Counters["job.done"]; got != 3 {
+		t.Errorf("telemetry.json job.done = %d, want 3", got)
 	}
 }
 
-// TestStartTracer checks the span file plumbing.
-func TestStartTracer(t *testing.T) {
-	tracePath := filepath.Join(t.TempDir(), "spans.jsonl")
-	s, err := Start(Options{Name: "test", TracePath: tracePath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	span := s.Tracer.Start("stage")
-	span.SetAttr("k", "v")
-	span.End()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"name":"stage"`) {
-		t.Errorf("trace file missing span: %q", data)
-	}
-}
-
-// TestCodecSelfCheck runs the check standalone (it must hold with
-// telemetry disabled too).
-func TestCodecSelfCheck(t *testing.T) {
-	if err := CodecSelfCheck(); err != nil {
-		t.Fatal(err)
+// TestStartSeedsNoCodecMetrics pins that a fresh session counts only
+// work the process did: the simulator models the line code without
+// running it, so no bch.* metric may exist before any work.
+func TestStartSeedsNoCodecMetrics(t *testing.T) {
+	for _, o := range []Options{
+		{Name: "sim", Telemetry: true, JSONPath: filepath.Join(t.TempDir(), "telemetry.json")},
+		{Name: "svc", ForceRegistry: true},
+	} {
+		s, err := Start(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := s.Registry.Snapshot()
+		var names []string
+		for name := range snap.Counters {
+			names = append(names, name)
+		}
+		for name := range snap.Gauges {
+			names = append(names, name)
+		}
+		for name := range snap.Histograms {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			if strings.HasPrefix(name, "bch.") {
+				t.Errorf("%s session holds %s before any work", o.Name, name)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
 	}
 }
 

@@ -32,7 +32,7 @@ const (
 // specRequest is the common shape of the four computable request types:
 // normalize to canonical form, render the canonical key, compute.
 type specRequest interface {
-	normalize(limits) error
+	normalize() error
 	Key() string
 	compute(ctx context.Context, reg *telemetry.Registry) (any, error)
 }
@@ -41,7 +41,7 @@ type specRequest interface {
 // ops and malformed bodies are deterministic request errors (400), not
 // compute failures. Normalization is idempotent, so a frontend's
 // already-normalized body round-trips to the identical canonical key.
-func decodeSpec(spec backend.Spec, lim limits) (specRequest, error) {
+func decodeSpec(spec backend.Spec) (specRequest, error) {
 	var req specRequest
 	switch spec.Op {
 	case opLER:
@@ -60,7 +60,7 @@ func decodeSpec(spec backend.Spec, lim limits) (specRequest, error) {
 	if err := dec.Decode(req); err != nil {
 		return nil, badf("bad %s spec body: %v", spec.Op, err)
 	}
-	if err := req.normalize(lim); err != nil {
+	if err := req.normalize(); err != nil {
 		return nil, err
 	}
 	return req, nil
@@ -78,9 +78,9 @@ func specFor(op string, req specRequest) (backend.Spec, error) {
 // newEvaluator builds the backend.Evaluator for this node: Spec in,
 // marshaled newline-terminated response bytes out. reg receives
 // campaign telemetry from compare runs; nil disables it.
-func newEvaluator(lim limits, reg *telemetry.Registry) backend.Evaluator {
+func newEvaluator(reg *telemetry.Registry) backend.Evaluator {
 	return func(ctx context.Context, spec backend.Spec) ([]byte, error) {
-		req, err := decodeSpec(spec, lim)
+		req, err := decodeSpec(spec)
 		if err != nil {
 			return nil, err
 		}

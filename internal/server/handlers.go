@@ -163,7 +163,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, op string,
 	req specRequest, decodeErr error) {
 	err := decodeErr
 	if err == nil {
-		err = req.normalize(s.cfg.limits())
+		err = req.normalize()
 	}
 	if err != nil {
 		s.writeError(w, r, err)
@@ -197,7 +197,7 @@ func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, badf("bad compute request: %v", err))
 		return
 	}
-	req, err := decodeSpec(creq.Spec, s.cfg.limits())
+	req, err := decodeSpec(creq.Spec)
 	if err != nil {
 		s.writeError(w, r, err)
 		return

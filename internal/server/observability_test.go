@@ -27,7 +27,7 @@ import (
 func newObservedServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *tsdb.Collector) {
 	t.Helper()
 	reg := telemetry.NewRegistry("readduo-serve")
-	store, err := tsdb.Open("", tsdb.Options{})
+	store, err := tsdb.Open("")
 	if err != nil {
 		t.Fatal(err)
 	}

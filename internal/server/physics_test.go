@@ -11,18 +11,18 @@ import (
 // any other temperature is a different one.
 func TestLERTempKeyCanonical(t *testing.T) {
 	base := lerRequest{}
-	if err := base.normalize(testLimits()); err != nil {
+	if err := base.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	explicit := lerRequest{TempK: 300}
-	if err := explicit.normalize(testLimits()); err != nil {
+	if err := explicit.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if base.Key() != explicit.Key() {
 		t.Errorf("temp omitted and temp=300 split keys: %s vs %s", base.Key(), explicit.Key())
 	}
 	cryo := lerRequest{TempK: 250}
-	if err := cryo.normalize(testLimits()); err != nil {
+	if err := cryo.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if cryo.Key() == base.Key() {
@@ -31,10 +31,10 @@ func TestLERTempKeyCanonical(t *testing.T) {
 
 	pBase := policyRequest{E: 8, S: 16, W: 1}
 	pHot := policyRequest{E: 8, S: 16, W: 1, TempK: 350}
-	if err := pBase.normalize(testLimits()); err != nil {
+	if err := pBase.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if err := pHot.normalize(testLimits()); err != nil {
+	if err := pHot.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if pBase.Key() == pHot.Key() {
@@ -46,11 +46,11 @@ func TestLERTempKeyCanonical(t *testing.T) {
 func TestTempValidation(t *testing.T) {
 	for _, temp := range []float64{-1, 2, 3.9, 400.1, 1e6} {
 		req := lerRequest{TempK: temp}
-		if err := req.normalize(testLimits()); err == nil {
+		if err := req.normalize(); err == nil {
 			t.Errorf("temp=%v accepted", temp)
 		}
 		pol := policyRequest{E: 8, S: 16, TempK: temp}
-		if err := pol.normalize(testLimits()); err == nil {
+		if err := pol.normalize(); err == nil {
 			t.Errorf("policy temp=%v accepted", temp)
 		}
 	}

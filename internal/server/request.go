@@ -20,17 +20,14 @@ import (
 // metric produce one cache entry, and float rendering goes through
 // strconv's shortest-round-trip %g.
 
-// limits are the configurable admission caps a Server enforces before
-// any work is queued; with maxGridCells and maxCompareSchemes they bound
-// the cost of a single request.
-type limits struct {
-	MaxMCCells       int    // Monte-Carlo population size
-	MaxCompareBudget uint64 // per-core instruction budget
-}
-
+// The admission caps every Server enforces before any work is queued;
+// together they bound the cost of a single request. They are constants,
+// so a node routing a request and the node computing it always agree.
 const (
-	maxGridCells      = 4096 // LER table: len(intervals) * len(eccs)
-	maxCompareSchemes = 8
+	maxGridCells      = 4096       // LER table: len(intervals) * len(eccs)
+	maxCompareSchemes = 8          // schemes per comparison
+	maxMCCells        = 10_000_000 // Monte-Carlo population size
+	maxCompareBudget  = 2_000_000  // per-core instruction budget
 )
 
 // badRequestError marks client errors (HTTP 400) apart from compute
@@ -78,7 +75,7 @@ type lerRequest struct {
 	cfg drift.Config
 }
 
-func (q *lerRequest) normalize(limits) error {
+func (q *lerRequest) normalize() error {
 	name, tempK, cfg, err := metricConfig(q.Metric, q.TempK)
 	if err != nil {
 		return err
@@ -129,7 +126,7 @@ type policyRequest struct {
 	cfg drift.Config
 }
 
-func (q *policyRequest) normalize(limits) error {
+func (q *policyRequest) normalize() error {
 	name, tempK, cfg, err := metricConfig(q.Metric, q.TempK)
 	if err != nil {
 		return err
@@ -166,12 +163,12 @@ type mcRequest struct {
 	Shards          int     `json:"shards"`
 }
 
-func (q *mcRequest) normalize(lim limits) error {
+func (q *mcRequest) normalize() error {
 	if q.Cells == 0 {
 		q.Cells = 100_000
 	}
-	if q.Cells < 1 || q.Cells > lim.MaxMCCells {
-		return badf("cells=%d out of range 1..%d", q.Cells, lim.MaxMCCells)
+	if q.Cells < 1 || q.Cells > maxMCCells {
+		return badf("cells=%d out of range 1..%d", q.Cells, maxMCCells)
 	}
 	if q.MedianEndurance == 0 {
 		q.MedianEndurance = 1e8
@@ -219,7 +216,7 @@ type compareRequest struct {
 	schemes []sim.Scheme
 }
 
-func (q *compareRequest) normalize(lim limits) error {
+func (q *compareRequest) normalize() error {
 	if q.Benchmark == "" {
 		return badf("missing benchmark (known: %s)", strings.Join(benchNames(), ", "))
 	}
@@ -253,8 +250,8 @@ func (q *compareRequest) normalize(lim limits) error {
 	if q.Budget == 0 {
 		q.Budget = 25_000
 	}
-	if q.Budget > lim.MaxCompareBudget {
-		return badf("budget %d exceeds the %d-instruction cap", q.Budget, lim.MaxCompareBudget)
+	if q.Budget > maxCompareBudget {
+		return badf("budget %d exceeds the %d-instruction cap", q.Budget, maxCompareBudget)
 	}
 	if q.Seed == 0 {
 		q.Seed = 1

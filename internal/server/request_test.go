@@ -8,15 +8,11 @@ import (
 	"readduo/internal/reliability"
 )
 
-func testLimits() limits {
-	return limits{MaxMCCells: 10_000_000, MaxCompareBudget: 2_000_000}
-}
-
 // TestLERKeyCanonical verifies that equivalent requests — defaults spelled
 // out or elided, lists permuted or duplicated — collapse to one cache key.
 func TestLERKeyCanonical(t *testing.T) {
 	base := lerRequest{}
-	if err := base.normalize(testLimits()); err != nil {
+	if err := base.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	// Spell out the defaults explicitly, permuted and with a duplicate.
@@ -25,14 +21,14 @@ func TestLERKeyCanonical(t *testing.T) {
 	ints := reliability.PaperIntervals()
 	ints = append([]float64{ints[len(ints)-1]}, ints...)
 	spelled := lerRequest{Metric: "r", ECCs: eccs, Intervals: ints}
-	if err := spelled.normalize(testLimits()); err != nil {
+	if err := spelled.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if base.Key() != spelled.Key() {
 		t.Fatalf("keys differ:\n  %s\n  %s", base.Key(), spelled.Key())
 	}
 	other := lerRequest{Metric: "M"}
-	if err := other.normalize(testLimits()); err != nil {
+	if err := other.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if base.Key() == other.Key() {
@@ -50,7 +46,7 @@ func TestLERValidation(t *testing.T) {
 		{ECCs: make([]int, 100), Intervals: make([]float64, 100)}, // grid cap
 	}
 	for i, req := range cases {
-		if err := req.normalize(testLimits()); err == nil {
+		if err := req.normalize(); err == nil {
 			t.Errorf("case %d: want validation error, got key %s", i, req.Key())
 		}
 	}
@@ -58,7 +54,7 @@ func TestLERValidation(t *testing.T) {
 
 func TestPolicyValidation(t *testing.T) {
 	good := policyRequest{E: 8, S: 16, W: 1}
-	if err := good.normalize(testLimits()); err != nil {
+	if err := good.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if want := "policy|m=R|t=300|e=8|s=16|w=1"; good.Key() != want {
@@ -70,7 +66,7 @@ func TestPolicyValidation(t *testing.T) {
 		{E: 8, S: 16, W: 9}, // W > E
 	}
 	for i, req := range bad {
-		if err := req.normalize(testLimits()); err == nil {
+		if err := req.normalize(); err == nil {
 			t.Errorf("case %d: want validation error", i)
 		}
 	}
@@ -78,25 +74,25 @@ func TestPolicyValidation(t *testing.T) {
 
 func TestMCDefaultsAndCaps(t *testing.T) {
 	req := mcRequest{}
-	if err := req.normalize(testLimits()); err != nil {
+	if err := req.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if req.Cells != 100_000 || req.Seed != 1 || req.Shards == 0 {
 		t.Fatalf("defaults not applied: %+v", req)
 	}
 	over := mcRequest{Cells: 20_000_000}
-	if err := over.normalize(testLimits()); err == nil {
+	if err := over.normalize(); err == nil {
 		t.Fatal("cells cap not enforced")
 	}
 	badShards := mcRequest{Cells: 10, Shards: 11}
-	if err := badShards.normalize(testLimits()); err == nil {
+	if err := badShards.normalize(); err == nil {
 		t.Fatal("shards > cells accepted")
 	}
 }
 
 func TestCompareNormalization(t *testing.T) {
 	req := compareRequest{Benchmark: "gcc", Schemes: []string{"ideal", "lwt:k=8"}}
-	if err := req.normalize(testLimits()); err != nil {
+	if err := req.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if req.Budget != 25_000 || req.Seed != 1 {
@@ -105,7 +101,7 @@ func TestCompareNormalization(t *testing.T) {
 	// Spec strings canonicalize through the parser, so spelling variants
 	// share a key.
 	alias := compareRequest{Benchmark: "gcc", Schemes: []string{"Ideal", "LWT:k=8"}}
-	if err := alias.normalize(testLimits()); err != nil {
+	if err := alias.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if req.Key() != alias.Key() {
@@ -121,7 +117,7 @@ func TestCompareNormalization(t *testing.T) {
 		{Benchmark: "gcc", Schemes: []string{"ideal"}, Budget: 100_000_000}, // budget cap
 	}
 	for i, req := range bad {
-		if err := req.normalize(testLimits()); err == nil {
+		if err := req.normalize(); err == nil {
 			t.Errorf("case %d: want validation error", i)
 		}
 	}
@@ -132,7 +128,7 @@ func TestCompareNormalization(t *testing.T) {
 // built-in workload (the server package registers the corpus).
 func TestCompareAcceptsCorpusScenarios(t *testing.T) {
 	req := compareRequest{Benchmark: "corpus:zipfian", Schemes: []string{"ideal"}}
-	if err := req.normalize(testLimits()); err != nil {
+	if err := req.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if req.Benchmark != "corpus:zipfian" || req.bench.Name != "corpus:zipfian" {
@@ -143,7 +139,7 @@ func TestCompareAcceptsCorpusScenarios(t *testing.T) {
 	}
 	// The known-benchmark listing in errors advertises corpus names.
 	missing := compareRequest{Schemes: []string{"ideal"}}
-	err := missing.normalize(testLimits())
+	err := missing.normalize()
 	if err == nil || !strings.Contains(err.Error(), "corpus:zipfian") {
 		t.Fatalf("err = %v, want corpus names in the known list", err)
 	}

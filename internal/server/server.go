@@ -59,12 +59,6 @@ type Config struct {
 	// ComputeTimeout caps one computation on a worker; <= 0 selects the
 	// request timeout.
 	ComputeTimeout time.Duration
-	// MaxMCCells and MaxCompareBudget cap per-request work; <= 0 selects
-	// 10M cells and 2M instructions. A node whose caps are tighter than
-	// those of a node routing to it answers that node's /compute with
-	// 400 — keep them aligned.
-	MaxMCCells       int
-	MaxCompareBudget uint64
 	// Registry receives the server's telemetry; nil disables probes.
 	Registry *telemetry.Registry
 	// Collector, when non-nil, backs /api/series range queries with its
@@ -100,16 +94,6 @@ func (c *Config) applyDefaults() {
 	if c.ComputeTimeout <= 0 {
 		c.ComputeTimeout = c.RequestTimeout
 	}
-	if c.MaxMCCells <= 0 {
-		c.MaxMCCells = 10_000_000
-	}
-	if c.MaxCompareBudget <= 0 {
-		c.MaxCompareBudget = 2_000_000
-	}
-}
-
-func (c Config) limits() limits {
-	return limits{MaxMCCells: c.MaxMCCells, MaxCompareBudget: c.MaxCompareBudget}
 }
 
 // serverProbes is the HTTP layer's instrumentation (the store has its
@@ -232,7 +216,7 @@ func New(cfg Config) (*Server, error) {
 		queueWait.Observe(uint64(d.Milliseconds()))
 	})
 
-	s.local = backend.NewLocal(s.pool, newEvaluator(cfg.limits(), cfg.Registry), cfg.ComputeTimeout)
+	s.local = backend.NewLocal(s.pool, newEvaluator(cfg.Registry), cfg.ComputeTimeout)
 	switch {
 	case cfg.Backend != nil:
 		s.be = cfg.Backend

@@ -238,7 +238,7 @@ func TestSaturationReturns429(t *testing.T) {
 // TestComputeTimeoutReturns504 drives a compare whose instruction budget
 // cannot finish inside the compute deadline.
 func TestComputeTimeoutReturns504(t *testing.T) {
-	_, ts := newTestServer(t, Config{ComputeTimeout: time.Millisecond, MaxCompareBudget: 2_000_000})
+	_, ts := newTestServer(t, Config{ComputeTimeout: time.Millisecond})
 	resp, body := get(t, ts, "/v1/compare?benchmark=mcf&schemes=ideal,scrubbing,tlc&budget=2000000")
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (%s)", resp.StatusCode, body)

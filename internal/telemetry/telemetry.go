@@ -1,26 +1,25 @@
 // Package telemetry is the simulator's dependency-free instrumentation
 // layer: race-safe atomic counters and gauges, contention-striped log2
-// histograms, named scoped registries, and a span-style stage tracer
-// that emits JSONL trace events. It imports no net/http: the HTTP
-// surfaces (/metrics, the dashboard, the pprof profiles) live in
-// internal/dashboard and internal/obs.
+// histograms, and named scoped registries with table and JSON
+// snapshots. It imports no net/http: the HTTP surfaces (/metrics, the
+// dashboard, the pprof profiles) live in internal/dashboard and
+// internal/obs.
 //
 // The central design constraint is that instrumentation must cost
 // (almost) nothing when disabled. Every metric type and the Sink handle
-// are nil-safe: a nil *Counter, *Gauge, *Histogram, *Sink, *Tracer, or
-// *Span accepts every method as a no-op, so instrumented hot paths hold
-// plain pointers and never branch on a separate "enabled" flag. Code
-// that cannot thread a handle through its constructors (package-level
-// probes, e.g. internal/bch) stores its probe set in an atomic.Pointer;
-// the disabled fast path is then exactly one atomic load. The package
-// test suite asserts the nil paths allocate zero bytes.
+// are nil-safe: a nil *Counter, *Gauge, *Histogram, or *Sink accepts
+// every method as a no-op, so instrumented hot paths hold plain
+// pointers, threaded through their constructors, and never branch on a
+// separate "enabled" flag. The package test suite asserts the nil paths
+// allocate zero bytes.
 //
 // The same constraint applies at link time: this package deliberately
 // imports nothing heavier than sync/atomic, io, and encoding/json, so
-// instrumented packages (internal/sim, internal/bch) never drag the
-// HTTP stack into a binary. That split is measured, not theoretical --
-// blank-importing net/http from the simulator's dependency graph cost
-// several percent of end-to-end throughput before any probe ran.
+// instrumented packages (internal/sim, internal/campaign) never drag
+// the HTTP stack into a binary. That split is measured, not
+// theoretical -- blank-importing net/http from the simulator's
+// dependency graph cost several percent of end-to-end throughput before
+// any probe ran.
 package telemetry
 
 import (

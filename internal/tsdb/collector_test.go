@@ -23,7 +23,7 @@ func TestCollectorDiffSemantics(t *testing.T) {
 	reg := telemetry.NewRegistry("test")
 	ctr := reg.Counter("busy")
 	reg.Counter("idle") // never incremented after the first sample
-	store, err := Open("", Options{})
+	store, err := Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestCollectorDiffSemantics(t *testing.T) {
 func TestCollectorHeartbeatBreaksSilence(t *testing.T) {
 	reg := telemetry.NewRegistry("test")
 	reg.Counter("flat")
-	store, _ := Open("", Options{})
+	store, _ := Open("")
 	c, setNow := manualCollector(t, reg, store)
 	c.heartbeatTicks = 5
 	for i := 0; i < 20; i++ {
@@ -72,7 +72,7 @@ func TestCollectorHistogramDerivedSeries(t *testing.T) {
 	for v := uint64(1); v <= 100; v++ {
 		h.Observe(v)
 	}
-	store, _ := Open("", Options{})
+	store, _ := Open("")
 	c, setNow := manualCollector(t, reg, store)
 	setNow(1000)
 	c.Poll()
@@ -93,7 +93,7 @@ func TestCollectorHistogramDerivedSeries(t *testing.T) {
 func TestCollectorCollectFuncAndSubscribe(t *testing.T) {
 	reg := telemetry.NewRegistry("test")
 	reg.Counter("base").Add(7)
-	store, _ := Open("", Options{})
+	store, _ := Open("")
 	c, setNow := manualCollector(t, reg, store, func(unixMS int64, snap telemetry.Snapshot) []Sample {
 		return []Sample{{Name: "slo.test.burn_5m", Value: float64(snap.Counters["base"]) / 7}}
 	})
@@ -117,7 +117,7 @@ func TestCollectorCollectFuncAndSubscribe(t *testing.T) {
 func TestCollectorStartStop(t *testing.T) {
 	reg := telemetry.NewRegistry("test")
 	reg.Counter("x").Inc()
-	store, _ := Open("", Options{})
+	store, _ := Open("")
 	c := NewCollector(reg, store, time.Millisecond)
 	c.Start()
 	deadline := time.Now().Add(2 * time.Second)
@@ -136,7 +136,7 @@ func TestCollectorStartStop(t *testing.T) {
 // the session's collector).
 func TestCollectorStopWithoutStart(t *testing.T) {
 	reg := telemetry.NewRegistry("test")
-	store, _ := Open("", Options{})
+	store, _ := Open("")
 	c := NewCollector(reg, store, time.Second)
 	done := make(chan struct{})
 	go func() {

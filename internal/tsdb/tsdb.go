@@ -46,36 +46,20 @@ type Sample struct {
 	Value float64
 }
 
-// Options sizes a Store. The zero value selects production defaults.
-type Options struct {
-	// SeriesPoints caps the in-memory ring per series; <= 0 selects 4096.
-	SeriesPoints int
-	// SegmentBytes is the on-disk segment rotation threshold; <= 0
-	// selects 1 MiB. Ignored without a directory.
-	SegmentBytes int64
-	// MaxSegments caps retained segment files (including the active
-	// one); <= 0 selects 16. Oldest segments are deleted on rotation.
-	MaxSegments int
-}
-
-func (o *Options) applyDefaults() {
-	if o.SeriesPoints <= 0 {
-		o.SeriesPoints = 4096
-	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 1 << 20
-	}
-	if o.MaxSegments <= 0 {
-		o.MaxSegments = 16
-	}
-}
+// Store sizing: memory is bounded per series, disk by the segment
+// count (the oldest segment is deleted on rotation).
+const (
+	seriesPoints = 4096    // in-memory ring capacity per series
+	segmentBytes = 1 << 20 // on-disk segment rotation threshold
+	maxSegments  = 16      // retained segment files, including the active one
+)
 
 // Store holds one ring per series plus the optional segment log. All
 // methods are safe for concurrent use. A nil *Store ignores appends and
 // answers empty queries, mirroring the telemetry package's nil-metric
 // contract.
 type Store struct {
-	opts Options
+	points int // ring capacity per series
 
 	mu     sync.RWMutex
 	series map[string]*ring
@@ -86,16 +70,21 @@ type Store struct {
 // directory, existing segments are replayed into the rings (their torn
 // tails repaired) and subsequent appends are framed to disk, so history
 // survives a restart.
-func Open(dir string, opts Options) (*Store, error) {
-	opts.applyDefaults()
-	s := &Store{opts: opts, series: make(map[string]*ring)}
+func Open(dir string) (*Store, error) {
+	return open(dir, seriesPoints, segmentBytes, maxSegments)
+}
+
+// open is Open with explicit sizes, so tests can exercise eviction and
+// rotation with small rings and segments.
+func open(dir string, points int, segBytes int64, maxSegs int) (*Store, error) {
+	s := &Store{points: points, series: make(map[string]*ring)}
 	if dir == "" {
 		return s, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tsdb: create %s: %w", dir, err)
 	}
-	seg, err := openSegmentLog(dir, opts.SegmentBytes, opts.MaxSegments, func(t int64, samples []Sample) {
+	seg, err := openSegmentLog(dir, segBytes, maxSegs, func(t int64, samples []Sample) {
 		s.appendMemory(t, samples)
 	})
 	if err != nil {
@@ -134,7 +123,7 @@ func (s *Store) appendMemory(unixMS int64, samples []Sample) {
 	for _, smp := range samples {
 		r, ok := s.series[smp.Name]
 		if !ok {
-			r = newRing(s.opts.SeriesPoints)
+			r = newRing(s.points)
 			s.series[smp.Name] = r
 		}
 		r.push(Point{UnixMS: unixMS, Value: smp.Value})

@@ -34,7 +34,7 @@ func TestRingWrapAndQuery(t *testing.T) {
 }
 
 func TestStoreMemoryOnly(t *testing.T) {
-	s, err := Open("", Options{SeriesPoints: 8})
+	s, err := open("", 8, segmentBytes, maxSegments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestNilStoreAndCollectorAreInert(t *testing.T) {
 // points appended before the restart.
 func TestStoreRestartReservesHistory(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{})
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestStoreRestartReservesHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, Options{})
+	re, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestStoreRestartReservesHistory(t *testing.T) {
 // rotation threshold to force several rotations and the retention cap.
 func TestSegmentRotationAndRetention(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SegmentBytes: 512, MaxSegments: 3})
+	s, err := open(dir, seriesPoints, 512, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestSegmentRotationAndRetention(t *testing.T) {
 		t.Fatalf("retention kept %d segments, cap 3: %v", len(segs), segs)
 	}
 	// Reopen: only the retained tail of history survives, newest intact.
-	re, err := Open(dir, Options{})
+	re, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestSegmentRotationAndRetention(t *testing.T) {
 // verifies Open drops exactly the torn frame, then appends cleanly.
 func TestSegmentTornTailRepair(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{})
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestSegmentTornTailRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, Options{})
+	re, err := Open(dir)
 	if err != nil {
 		t.Fatalf("open with torn tail: %v", err)
 	}
@@ -211,7 +211,7 @@ func TestSegmentTornTailRepair(t *testing.T) {
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	final, err := Open(dir, Options{})
+	final, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestSegmentTornTailRepair(t *testing.T) {
 // final) segment is corruption and must refuse to open.
 func TestSegmentCorruptionMidHistoryFails(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SegmentBytes: 256, MaxSegments: 10})
+	s, err := open(dir, seriesPoints, 256, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestSegmentCorruptionMidHistoryFails(t *testing.T) {
 	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); err == nil {
+	if _, err := Open(dir); err == nil {
 		t.Fatal("open accepted a corrupt sealed segment")
 	}
 }
@@ -261,13 +261,13 @@ func TestSegmentBadMagicFails(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "00000000.seg"), []byte("not a segment"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "magic") {
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("err = %v, want bad magic", err)
 	}
 }
 
 func TestStoreConcurrentAppendQuery(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{})
+	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestStoreConcurrentAppendQuery(t *testing.T) {
 
 func TestFrameValuesRoundTripFloats(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{})
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestFrameValuesRoundTripFloats(t *testing.T) {
 		}
 	}
 	s.Close()
-	re, err := Open(dir, Options{})
+	re, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
