@@ -5,6 +5,14 @@
 //
 //	go test -bench . -benchmem -count 5 | benchjson -note "..." > BENCH_2026-08-06.json
 //
+// It reads perfbench output the same way: each `# perfbench <workload>:`
+// header names the benchmark perfbench/<workload>, and the result line
+// that follows is one run, its metrics keyed by metric name. A result
+// line that failed its output checks is refused:
+//
+//	for i in 1 2 3 4 5; do bash perfbench/run.sh --workload sim-sweep --seed 101 --seconds 10 --trace 0; done |
+//	    benchjson -note "..." > results/BENCH_perfbench_x.json
+//
 // Every run of a benchmark is kept (not aggregated), so a baseline
 // generated with -count 5 preserves the run-to-run spread and a later
 // comparison can use whatever statistic it wants.
@@ -134,16 +142,41 @@ func main() {
 	}
 }
 
-// Parse reads `go test -bench` output and collects every benchmark
-// line plus the header metadata. Non-benchmark lines (test output,
-// PASS/ok trailers) are ignored.
+// Parse reads `go test -bench` or perfbench output and collects every
+// benchmark run plus the header metadata. Other lines (test output,
+// PASS/ok trailers, perfbench's commentary and ledger) are ignored.
 func Parse(r io.Reader) (*Document, error) {
 	doc := &Document{}
 	byName := map[string]int{}
+	add := func(name string, run Run) {
+		i, seen := byName[name]
+		if !seen {
+			i = len(doc.Benchmarks)
+			byName[name] = i
+			doc.Benchmarks = append(doc.Benchmarks, Benchmark{Name: name})
+		}
+		doc.Benchmarks[i].Runs = append(doc.Benchmarks[i].Runs, run)
+	}
+	// perf is the benchmark named by the latest perfbench header; a
+	// result line is read only after one.
+	perf := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
+		if name, ok := parsePerfbenchHeader(doc, line); ok {
+			perf = name
+			continue
+		}
+		if perf != "" && strings.HasPrefix(line, "{") {
+			run, err := parsePerfbenchResult(line)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", perf, err)
+			}
+			add(perf, run)
+			perf = ""
+			continue
+		}
 		switch {
 		case strings.HasPrefix(line, "goos: "):
 			doc.GOOS = strings.TrimPrefix(line, "goos: ")
@@ -165,13 +198,7 @@ func Parse(r io.Reader) (*Document, error) {
 		if !ok {
 			continue
 		}
-		i, seen := byName[name]
-		if !seen {
-			i = len(doc.Benchmarks)
-			byName[name] = i
-			doc.Benchmarks = append(doc.Benchmarks, Benchmark{Name: name})
-		}
-		doc.Benchmarks[i].Runs = append(doc.Benchmarks[i].Runs, run)
+		add(name, run)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -215,4 +242,66 @@ func parseBenchLine(line string) (string, Run, bool) {
 		return "", Run{}, false
 	}
 	return name, run, true
+}
+
+// perfbenchPkg is the module that prints perfbench output; it stands in
+// for the `pkg:` header of go test output in the cohort hash.
+const perfbenchPkg = "readduo/perfbench"
+
+// parsePerfbenchHeader recognizes perfbench's first line,
+//
+//	# perfbench sim-sweep: nproc=2 GOMAXPROCS=1 go1.24.0 linux/amd64 cpu="..."
+//
+// and returns the benchmark name it opens. It fills the document's
+// platform fields from the line.
+func parsePerfbenchHeader(doc *Document, line string) (string, bool) {
+	rest, ok := strings.CutPrefix(line, "# perfbench ")
+	if !ok {
+		return "", false
+	}
+	workload, desc, ok := strings.Cut(rest, ":")
+	if !ok || workload == "" || strings.ContainsAny(workload, " \t") {
+		return "", false
+	}
+	doc.Pkg = perfbenchPkg
+	desc, cpu, _ := strings.Cut(desc, " cpu=")
+	if c, err := strconv.Unquote(cpu); err == nil {
+		doc.CPU = c
+	}
+	for _, f := range strings.Fields(desc) {
+		if goos, goarch, ok := strings.Cut(f, "/"); ok {
+			doc.GOOS, doc.GOARCH = goos, goarch
+		}
+	}
+	return "perfbench/" + workload, true
+}
+
+// parsePerfbenchResult reads one perfbench result line. The run's
+// iteration count is the operations it attempted; a run whose outputs
+// were wrong or whose operations failed is an error, never evidence.
+func parsePerfbenchResult(line string) (Run, error) {
+	var res struct {
+		Attempted int64 `json:"attempted"`
+		Correct   *bool `json:"correct"`
+		Failed    int64 `json:"failed"`
+		Metrics   map[string]struct {
+			Value float64 `json:"value"`
+		} `json:"metrics"`
+	}
+	if err := json.Unmarshal([]byte(line), &res); err != nil {
+		return Run{}, fmt.Errorf("result line: %w", err)
+	}
+	switch {
+	case res.Correct == nil || !*res.Correct:
+		return Run{}, fmt.Errorf("result line is not correct: %s", line)
+	case res.Failed > 0:
+		return Run{}, fmt.Errorf("result line has %d failed operations", res.Failed)
+	case len(res.Metrics) == 0:
+		return Run{}, fmt.Errorf("result line has no metrics")
+	}
+	run := Run{Iterations: res.Attempted, Metrics: make(map[string]float64, len(res.Metrics))}
+	for name, m := range res.Metrics {
+		run.Metrics[name] = m.Value
+	}
+	return run, nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"readduo/internal/memctrl"
@@ -83,5 +84,36 @@ func TestAdvanceToZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Controller.AdvanceTo allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestNewEngineAllocationBudget pins the cost of building an engine for a
+// sweep-sized job, where construction outweighs the simulation. Once a
+// first run has filled the process-wide memos (probability tables and
+// seeded sources), an engine copies its five seeded sources and starts
+// with an empty line table.
+func TestNewEngineAllocationBudget(t *testing.T) {
+	b, ok := trace.ByName("gcc")
+	if !ok {
+		t.Fatal("gcc benchmark missing")
+	}
+	cfg := DefaultConfig(b)
+	cfg.CPU.InstrBudget = 25_000
+	scheme := LWT(4, true)
+	if _, err := Run(cfg, scheme); err != nil {
+		t.Fatal(err)
+	}
+	const engines = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < engines; i++ {
+		if _, err := newEngine(cfg, scheme); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perEngine := (after.TotalAlloc - before.TotalAlloc) / engines
+	if perEngine >= 64<<10 {
+		t.Errorf("newEngine allocates %d bytes per engine, want < %d", perEngine, 64<<10)
 	}
 }

@@ -130,7 +130,9 @@ type Engine struct {
 	// Line state: physical line -> last full write time (ps, possibly
 	// far negative for pre-window writes). An open-addressing flat table
 	// (internal/sim/linetable): Read, Write, and OnScrub each consult it
-	// once, making it the hottest data structure of the run.
+	// once, making it the hottest data structure of the run. It starts
+	// at 16 slots and grows to the job's footprint; nothing iterates it,
+	// so its capacity never reaches a result.
 	lastWrite *linetable.Table
 
 	// Scrub geometry (ps).
@@ -241,8 +243,8 @@ func newEngine(cfg Config, scheme Scheme) (*Engine, error) {
 	e := &Engine{
 		cfg:       cfg,
 		scheme:    scheme,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		lastWrite: linetable.New(1 << 12),
+		rng:       trace.NewRand(cfg.Seed),
+		lastWrite: linetable.New(0),
 		tel:       newEngineProbes(cfg.Telemetry),
 	}
 
@@ -264,7 +266,7 @@ func newEngine(cfg Config, scheme Scheme) (*Engine, error) {
 	}
 	if scheme.Env.Disturb > 0 {
 		e.disturb = drift.DisturbChannel{PerRead: scheme.Env.Disturb}
-		e.readCounts = linetable.New(1 << 12)
+		e.readCounts = linetable.New(0)
 	}
 	e.tel.scrubIntervalMS.Set(interval.Milliseconds())
 	e.tel.scrubW.Set(int64(w))

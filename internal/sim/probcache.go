@@ -83,6 +83,8 @@ func CacheStats() (hits, misses, evictions uint64) {
 // PurgeSharedCaches drops every memoized probability table and
 // steady-state fraction, returning the number of entries evicted.
 // Benchmarks use it to measure cold builds; campaigns never need it.
+// trace.NewRand's seed memo is left alone: it holds no table, and what
+// it holds cannot change a result.
 func PurgeSharedCaches() int {
 	n := 0
 	probCaches.Range(func(k, _ any) bool {

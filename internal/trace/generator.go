@@ -40,7 +40,7 @@ func NewGenerator(bench Benchmark, cores int, seed int64) (*Generator, error) {
 	for c := range g.cores {
 		hot := uint64(bench.HotSetLines)
 		g.cores[c] = coreStream{
-			rng:      rand.New(rand.NewSource(seed ^ int64(c+1)*0x9e3779b97f4a7c)),
+			rng:      NewRand(coreSeed(seed, c)),
 			base:     uint64(c) << 40, // disjoint per-core slices
 			wsLines:  uint64(bench.WorkingSetLines),
 			hotLines: hot,
@@ -50,6 +50,9 @@ func NewGenerator(bench Benchmark, cores int, seed int64) (*Generator, error) {
 	}
 	return g, nil
 }
+
+// coreSeed derives core c's stream seed from the generator seed.
+func coreSeed(seed int64, c int) int64 { return seed ^ int64(c+1)*0x9e3779b97f4a7c }
 
 // Benchmark returns the profile driving this generator.
 func (g *Generator) Benchmark() Benchmark { return g.bench }
