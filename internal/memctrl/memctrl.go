@@ -11,6 +11,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"readduo/internal/energy"
@@ -160,7 +161,7 @@ func (s Stats) AvgReadLatency() time.Duration {
 	return time.Duration(s.ReadLatencySumPS/int64(s.Reads)) * time.Nanosecond / 1000
 }
 
-type opKind int
+type opKind uint8
 
 const (
 	opRead opKind = iota + 1
@@ -169,17 +170,20 @@ const (
 	opScrubWrite
 )
 
+// op is one queued or in-flight bank operation. It is copied by value on
+// every queue push and pop and on dispatch, so its fields are narrowed to
+// keep it at 48 bytes: copies of up to 64 bytes compile to inline moves,
+// larger ones to a runtime.duffcopy call.
 type op struct {
-	kind         opKind
 	id           uint64
 	line         uint64
 	latencyPS    int64
-	cells        int
-	mode         sense.Mode
 	enqueuedAt   int64
-	startedAt    int64
-	rewriteAfter bool // scrub read: enqueue rewrite on completion
-	rewriteCells int
+	cells        int32
+	rewriteCells int32
+	kind         opKind
+	mode         uint8 // sense.Mode of a read or scrub scan
+	rewriteAfter bool  // scrub read: enqueue rewrite on completion
 }
 
 // opQueue is a growable ring buffer of ops. The steady-state loop pops
@@ -235,48 +239,45 @@ func (q *opQueue) grow() {
 }
 
 type bank struct {
-	idx int
-	// inflight is stored by value — taking a pointer to the dispatched op
-	// forced a heap allocation per operation in the old design.
-	readQ       opQueue
-	writeQ      opQueue
-	inflight    op
-	hasInflight bool
-	busyUntil   int64
-	draining    bool
+	idx    int
+	readQ  opQueue
+	writeQ opQueue
+	// inflight is the running op and startedAt its start, meaningful only
+	// while the bank's busyUntil is not never. inflight is stored by value:
+	// a pointer to the dispatched op cost a heap allocation per op.
+	inflight  op
+	startedAt int64
+	draining  bool
 
-	scrubEnabled bool
-	nextScrubAt  int64
 	scrubPeriod  int64 // per-line visit period within this bank
 	scrubCursor  uint64
 	scrubPending opQueue
 	linesInBank  uint64
-
-	// Cached next-event state, maintained by refreshBank whenever the
-	// bank's op state changes. eventAt is the earliest internal event the
-	// bank can produce (op completion or scrub due); rearm marks an idle
-	// bank holding queued work, which is dispatchable "now".
-	eventAt int64
-	eventOK bool
-	rearm   bool
 }
+
+// never is the deadline of an event that does not exist: no op in flight,
+// or scrubbing off.
+const never = math.MaxInt64
 
 // Controller is the memory controller plus PCM rank model.
 type Controller struct {
-	cfg         Config
-	banks       []bank
+	cfg   Config
+	banks []bank
+	// busyUntil[i] is bank i's in-flight completion time and scrubAt[i]
+	// its next scrub arrival, never when there is none. They are the only
+	// record of either, packed so the event scans touch two cache lines
+	// and no bank struct.
+	busyUntil   []int64
+	scrubAt     []int64
 	hook        ScrubHook
 	acct        *energy.Accounting
 	now         int64
 	stats       Stats
 	completions []Completion
 
-	// Cached minimum over the banks' eventAt values, invalidated by
-	// refreshBank. NextEventAt and AdvanceTo consult it instead of
-	// re-scanning every bank on every engine iteration.
+	// minAt caches the minimum over busyUntil and scrubAt. Every write to
+	// either clears minValid; NextEventAt and AdvanceTo rescan on demand.
 	minAt    int64
-	minOK    bool
-	rearmAny bool
 	minValid bool
 }
 
@@ -292,22 +293,19 @@ func NewController(cfg Config, acct *energy.Accounting, hook ScrubHook) (*Contro
 	if cfg.ScrubInterval > 0 && hook == nil {
 		return nil, fmt.Errorf("memctrl: scrubbing enabled but no scrub hook")
 	}
-	c := &Controller{cfg: cfg, hook: hook, acct: acct, banks: make([]bank, cfg.Banks)}
+	c := &Controller{cfg: cfg, hook: hook, acct: acct, banks: make([]bank, cfg.Banks),
+		busyUntil: make([]int64, cfg.Banks), scrubAt: make([]int64, cfg.Banks)}
 	linesPerBank := cfg.TotalLines / uint64(cfg.Banks)
 	for i := range c.banks {
 		b := &c.banks[i]
 		b.idx = i
 		b.linesInBank = linesPerBank
+		c.busyUntil[i], c.scrubAt[i] = never, never
 		if cfg.ScrubInterval > 0 {
-			b.scrubEnabled = true
-			b.scrubPeriod = PS(cfg.ScrubInterval) / int64(linesPerBank)
-			if b.scrubPeriod < 1 {
-				b.scrubPeriod = 1
-			}
+			b.scrubPeriod = max(PS(cfg.ScrubInterval)/int64(linesPerBank), 1)
 			// Stagger bank walkers so scrub traffic doesn't pulse.
-			b.nextScrubAt = int64(i) * b.scrubPeriod / int64(cfg.Banks)
+			c.scrubAt[i] = int64(i) * b.scrubPeriod / int64(cfg.Banks)
 		}
-		c.refreshBank(b)
 	}
 	return c, nil
 }
@@ -317,36 +315,14 @@ func NewController(cfg Config, acct *energy.Accounting, hook ScrubHook) (*Contro
 // replay); new code need not call it.
 func (c *Controller) Close() {}
 
-// refreshBank recomputes the bank's cached next-event state from its op
-// state and invalidates the controller-level minimum. Every mutation path
-// (dispatch, completion, scrub arrival, cancellation) funnels through
-// dispatch, which calls this last.
-func (c *Controller) refreshBank(b *bank) {
-	at, ok := int64(0), false
-	if b.hasInflight {
-		at, ok = b.busyUntil, true
-	}
-	if b.scrubEnabled && (!ok || b.nextScrubAt < at) {
-		at, ok = b.nextScrubAt, true
-	}
-	b.eventAt, b.eventOK = at, ok
-	b.rearm = !b.hasInflight && (b.readQ.n > 0 || b.writeQ.n > 0 || b.scrubPending.n > 0)
-	c.minValid = false
-}
-
-// recomputeMin refreshes the controller-level minimum from the per-bank
-// caches. O(banks), but only runs after a state change; the steady-state
-// NextEventAt/AdvanceTo polling is O(1).
+// recomputeMin refreshes the cached minimum deadline. It runs only after
+// a deadline changed; steady-state NextEventAt/AdvanceTo polling is O(1).
 func (c *Controller) recomputeMin() {
-	at, ok, rearm := int64(0), false, false
-	for i := range c.banks {
-		b := &c.banks[i]
-		if b.eventOK && (!ok || b.eventAt < at) {
-			at, ok = b.eventAt, true
-		}
-		rearm = rearm || b.rearm
+	at := int64(never)
+	for i, busy := range c.busyUntil {
+		at = min(at, busy, c.scrubAt[i])
 	}
-	c.minAt, c.minOK, c.rearmAny, c.minValid = at, ok, rearm, true
+	c.minAt, c.minValid = at, true
 }
 
 // Now returns the controller's current time (ps).
@@ -369,7 +345,7 @@ func (c *Controller) EnqueueRead(now int64, id, line uint64, mode sense.Mode) er
 	b := &c.banks[c.BankOf(line)]
 	b.readQ.pushBack(op{
 		kind: opRead, id: id, line: line,
-		latencyPS: PS(lat), cells: c.cfg.CellsPerLine, mode: mode, enqueuedAt: now,
+		latencyPS: PS(lat), cells: int32(c.cfg.CellsPerLine), mode: uint8(mode), enqueuedAt: now,
 	})
 	c.maybeCancelWrite(b, now)
 	c.dispatch(b, now)
@@ -386,7 +362,7 @@ func (c *Controller) EnqueueWrite(now int64, line uint64, cells int) bool {
 	}
 	b.writeQ.pushBack(op{
 		kind: opWrite, line: line,
-		latencyPS: PS(c.cfg.Timing.Write), cells: cells, enqueuedAt: now,
+		latencyPS: PS(c.cfg.Timing.Write), cells: int32(cells), enqueuedAt: now,
 	})
 	c.dispatch(b, now)
 	return true
@@ -400,57 +376,45 @@ func (c *Controller) WriteQueueSpace(line uint64) int {
 
 // NextEventAt returns the earliest pending internal event (op completion or
 // scrub due), or ok=false if the controller is fully idle. It answers from
-// the cached bank minimum; a full scan only happens after a state change.
+// the cached minimum; a rescan only happens after a deadline changed.
 func (c *Controller) NextEventAt() (int64, bool) {
 	if !c.minValid {
 		c.recomputeMin()
 	}
-	at, ok := c.minAt, c.minOK
-	// An idle bank with queued work should have been dispatched, but a
-	// bank idled by backpressure interactions re-arms at the current time.
-	if c.rearmAny && (!ok || c.now < at) {
-		at, ok = c.now, true
+	if c.minAt == never {
+		return 0, false
 	}
-	return at, ok
+	return c.minAt, true
 }
 
 // AdvanceTo runs the controller forward to time t, appending demand-read
 // completions in time order to comps (a caller-owned scratch slice,
 // truncated first) and returning it. Ties at the same instant retire
 // completions before admitting scrub arrivals, so a freed bank is
-// immediately re-dispatchable.
+// immediately re-dispatchable; tied completions retire from the highest
+// bank down, tied scrub arrivals are admitted from the lowest bank up.
 func (c *Controller) AdvanceTo(t int64, comps []Completion) []Completion {
 	c.completions = comps[:0]
 	for {
-		// Cheap exit: no bank has an internal event due by t. The selection
-		// scan below is only entered when an event definitely exists, so the
-		// common empty AdvanceTo costs one cached comparison.
 		if !c.minValid {
 			c.recomputeMin()
 		}
-		if !c.minOK || c.minAt > t {
+		at := c.minAt
+		if at > t || at == never { // never is beyond any t, MaxInt64 included
 			break
 		}
-		bankIdx, isScrub, eventAt := -1, false, t
-		for i := range c.banks {
-			b := &c.banks[i]
-			if b.hasInflight && b.busyUntil <= eventAt {
-				bankIdx, isScrub, eventAt = i, false, b.busyUntil
+		// at is the minimum over both arrays, so one of the scans finds it.
+		i := len(c.busyUntil) - 1
+		for i >= 0 && c.busyUntil[i] != at {
+			i--
+		}
+		isScrub := i < 0
+		if isScrub {
+			for i = 0; c.scrubAt[i] != at; i++ {
 			}
 		}
-		for i := range c.banks {
-			b := &c.banks[i]
-			if b.scrubEnabled && b.nextScrubAt <= eventAt && (bankIdx == -1 || b.nextScrubAt < eventAt) {
-				bankIdx, isScrub, eventAt = i, true, b.nextScrubAt
-			}
-		}
-		if bankIdx == -1 {
-			break
-		}
-		b := &c.banks[bankIdx]
-		if eventAt > c.now {
-			c.now = eventAt
-		}
+		b := &c.banks[i]
+		c.now = max(c.now, at)
 		if isScrub {
 			c.scrubArrive(b)
 		} else {
@@ -458,16 +422,7 @@ func (c *Controller) AdvanceTo(t int64, comps []Completion) []Completion {
 		}
 		c.dispatch(b, c.now)
 	}
-	if t > c.now {
-		c.now = t
-	}
-	// Re-arm any banks idled by earlier backpressure. The rearm flags are
-	// maintained by refreshBank, so only flagged banks need a dispatch.
-	for i := range c.banks {
-		if c.banks[i].rearm {
-			c.dispatch(&c.banks[i], c.now)
-		}
-	}
+	c.now = max(c.now, t)
 	return c.completions
 }
 
@@ -485,17 +440,19 @@ func (c *Controller) scrubArrive(b *bank) {
 	}
 	b.scrubPending.pushBack(op{
 		kind: opScrubRead, line: line,
-		latencyPS: PS(act.ReadLatency), cells: c.cfg.CellsPerLine, mode: mode,
-		enqueuedAt: c.now, rewriteAfter: act.Rewrite, rewriteCells: act.CellsWritten,
+		latencyPS: PS(act.ReadLatency), cells: int32(c.cfg.CellsPerLine), mode: uint8(mode),
+		enqueuedAt: c.now, rewriteAfter: act.Rewrite, rewriteCells: int32(act.CellsWritten),
 	})
-	b.nextScrubAt += b.scrubPeriod
+	c.scrubAt[b.idx] += b.scrubPeriod
+	c.minValid = false
 }
 
 // complete retires the bank's in-flight op.
 func (c *Controller) complete(b *bank) {
-	o := b.inflight
-	b.hasInflight = false
+	o := &b.inflight
+	c.busyUntil[b.idx], c.minValid = never, false
 	c.stats.BankBusyPS += o.latencyPS
+	cells := int(o.cells)
 	switch o.kind {
 	case opRead:
 		c.stats.Reads++
@@ -503,27 +460,26 @@ func (c *Controller) complete(b *bank) {
 			c.stats.ReadsByMode[o.mode]++
 		}
 		c.stats.ReadLatencySumPS += c.now - o.enqueuedAt
-		switch o.mode {
+		switch sense.Mode(o.mode) {
 		case sense.ModeR:
-			c.acct.AddRRead(o.cells)
+			c.acct.AddRRead(cells)
 		case sense.ModeM:
-			c.acct.AddMRead(o.cells)
+			c.acct.AddMRead(cells)
 		case sense.ModeRM:
-			c.acct.AddRMRead(o.cells)
+			c.acct.AddRMRead(cells)
 		}
 		c.completions = append(c.completions, Completion{ID: o.id, At: c.now})
 	case opWrite:
 		c.stats.Writes++
-		c.stats.WriteCells += uint64(o.cells)
-		c.acct.AddWrite(o.cells)
+		c.stats.WriteCells += uint64(cells)
+		c.acct.AddWrite(cells)
 	case opScrubRead:
 		c.stats.ScrubReads++
-		c.acct.AddScrubRead(o.cells, o.mode == sense.ModeM)
+		c.acct.AddScrubRead(cells, sense.Mode(o.mode) == sense.ModeM)
 		if o.rewriteAfter {
 			// Scrub rewrites ride the write queue (cancellable, drained
-			// behind demand traffic). A full queue would stall the
-			// walker; rewrite directly in that rare case by requeueing
-			// as pending scrub work.
+			// behind demand traffic). WriteQueueCap backpressures only
+			// demand writes, so a full queue never stalls the walker.
 			b.writeQ.pushBack(op{
 				kind: opScrubWrite, line: o.line,
 				latencyPS: PS(c.cfg.Timing.Write), cells: o.rewriteCells, enqueuedAt: c.now,
@@ -531,18 +487,17 @@ func (c *Controller) complete(b *bank) {
 		}
 	case opScrubWrite:
 		c.stats.ScrubWrites++
-		c.stats.ScrubWriteCells += uint64(o.cells)
-		c.acct.AddScrubWrite(o.cells)
+		c.stats.ScrubWriteCells += uint64(cells)
+		c.acct.AddScrubWrite(cells)
 	}
 }
 
 // dispatch starts the next op on an idle bank according to the priority
 // policy: forced write drain > demand reads > scrub scans > opportunistic
-// writes. It always leaves the bank's cached next-event state fresh, so
-// every mutation path ends here.
+// writes. Every path that changes a bank's queues or in-flight op ends
+// here, so no bank is ever idle while it holds queued work.
 func (c *Controller) dispatch(b *bank, now int64) {
-	if b.hasInflight {
-		c.refreshBank(b)
+	if c.busyUntil[b.idx] != never {
 		return
 	}
 	if b.writeQ.n >= c.cfg.WriteDrainHi {
@@ -562,15 +517,11 @@ func (c *Controller) dispatch(b *bank, now int64) {
 	case b.writeQ.n > 0:
 		q = &b.writeQ
 	default:
-		c.refreshBank(b)
 		return
 	}
-	next := q.popFront()
-	next.startedAt = now
-	b.inflight = next
-	b.hasInflight = true
-	b.busyUntil = now + next.latencyPS
-	c.refreshBank(b)
+	b.inflight = q.popFront()
+	b.startedAt = now
+	c.busyUntil[b.idx], c.minValid = now+b.inflight.latencyPS, false
 }
 
 // maybeCancelWrite implements write cancellation with pausing (the paper
@@ -581,25 +532,20 @@ func (c *Controller) dispatch(b *bank, now int64) {
 // first. Programming energy is charged once, at final completion, because
 // the iterations already applied are kept.
 func (c *Controller) maybeCancelWrite(b *bank, now int64) {
-	if !c.cfg.CancelWrites || !b.hasInflight {
+	if !c.cfg.CancelWrites || c.busyUntil[b.idx] == never {
 		return
 	}
-	o := b.inflight
-	if o.kind != opWrite && o.kind != opScrubWrite {
+	if k := b.inflight.kind; k != opWrite && k != opScrubWrite {
 		return
 	}
-	done := float64(now-o.startedAt) / float64(o.latencyPS)
-	if done >= c.cfg.CancelThreshold {
+	ran := now - b.startedAt
+	if float64(ran)/float64(b.inflight.latencyPS) >= c.cfg.CancelThreshold {
 		return
 	}
 	c.stats.Cancellations++
-	c.stats.BankBusyPS += now - o.startedAt
-	paused := o
-	paused.latencyPS = o.latencyPS - (now - o.startedAt)
-	if paused.latencyPS < 1 {
-		paused.latencyPS = 1
-	}
-	paused.startedAt = 0
-	b.hasInflight = false
+	c.stats.BankBusyPS += ran
+	paused := b.inflight
+	paused.latencyPS = max(paused.latencyPS-ran, 1)
+	c.busyUntil[b.idx], c.minValid = never, false
 	b.writeQ.pushFront(paused)
 }

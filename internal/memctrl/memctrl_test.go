@@ -1,8 +1,10 @@
 package memctrl
 
 import (
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"readduo/internal/energy"
 	"readduo/internal/sense"
@@ -372,5 +374,89 @@ func TestEnqueueReadInvalidMode(t *testing.T) {
 	c, _ := mustController(t, testConfig(), nil)
 	if err := c.EnqueueRead(0, 1, 0, sense.Mode(0)); err == nil {
 		t.Error("invalid mode accepted")
+	}
+}
+
+func TestTiedCompletionsRetireHighestBankFirst(t *testing.T) {
+	cfg := testConfig()
+	cfg.Banks = 4
+	c, _ := mustController(t, cfg, nil)
+	for _, line := range []uint64{0, 1, 3} { // banks 0, 1 and 3
+		if err := c.EnqueueRead(0, 10+line, line, sense.ModeR); err != nil {
+			t.Fatal(err)
+		}
+	}
+	comps := c.AdvanceTo(PS(time.Millisecond), nil)
+	r := PS(150 * time.Nanosecond)
+	want := []Completion{{ID: 13, At: r}, {ID: 11, At: r}, {ID: 10, At: r}}
+	if !slices.Equal(comps, want) {
+		t.Errorf("completions %+v, want %+v", comps, want)
+	}
+}
+
+// scrubVisit is one OnScrub call and how many demand reads had retired
+// when it was made.
+type scrubVisit struct {
+	at    int64
+	line  uint64
+	reads uint64
+}
+
+type visitLog struct {
+	c      *Controller
+	visits []scrubVisit
+}
+
+func (v *visitLog) OnScrub(now int64, line uint64) ScrubAction {
+	v.visits = append(v.visits, scrubVisit{at: now, line: line, reads: v.c.Stats().Reads})
+	return ScrubAction{ReadLatency: 150 * time.Nanosecond}
+}
+
+func TestCompletionRetiresBeforeTiedScrubArrival(t *testing.T) {
+	cfg := testConfig()
+	// One visit per bank every 300 ns (512 lines per bank); the walkers
+	// are staggered, so bank 0's starts at 0 and bank 1's at 150 ns.
+	cfg.TotalLines = 1 << 10
+	cfg.ScrubInterval = 512 * 300 * time.Nanosecond
+	log := &visitLog{}
+	c, _ := mustController(t, cfg, log)
+	log.c = c
+	// Bank 1's read completes at 150 ns, when its first scrub arrives.
+	if err := c.EnqueueRead(0, 7, 1, sense.ModeR); err != nil {
+		t.Fatal(err)
+	}
+	r := PS(150 * time.Nanosecond)
+	if comps := c.AdvanceTo(r, nil); len(comps) != 1 || comps[0].At != r {
+		t.Fatalf("completions %+v, want read 7 at %d", comps, r)
+	}
+	want := []scrubVisit{{at: 0, line: 0, reads: 0}, {at: r, line: 1, reads: 1}}
+	if !slices.Equal(log.visits, want) {
+		t.Errorf("scrub visits %+v, want %+v", log.visits, want)
+	}
+}
+
+func TestTiedScrubArrivalsVisitLowestBankFirst(t *testing.T) {
+	cfg := testConfig()
+	cfg.Banks = 4
+	// 1024 lines per bank in 1 ns: the 1 ps visit period staggers every
+	// bank's walker to start at 0.
+	cfg.TotalLines = 1 << 12
+	cfg.ScrubInterval = time.Nanosecond
+	log := &visitLog{}
+	c, _ := mustController(t, cfg, log)
+	log.c = c
+	c.AdvanceTo(0, nil)
+	want := []scrubVisit{{line: 0}, {line: 1}, {line: 2}, {line: 3}}
+	if !slices.Equal(log.visits, want) {
+		t.Errorf("scrub visits %+v, want %+v", log.visits, want)
+	}
+}
+
+// TestOpFitsInlineCopy pins the size of op, which is copied by value on
+// every queue push and pop and on dispatch: on amd64, copies of more than
+// 64 bytes go through runtime.duffcopy instead of inline moves.
+func TestOpFitsInlineCopy(t *testing.T) {
+	if got := unsafe.Sizeof(op{}); got > 64 {
+		t.Errorf("op is %d bytes, want at most 64", got)
 	}
 }

@@ -49,9 +49,9 @@ func TestOpQueueAgainstSliceOracle(t *testing.T) {
 	}
 }
 
-// TestNextEventCacheConsistent checks the incrementally-maintained event
-// minimum against a brute-force scan of the bank states after every
-// mutation of a busy random workload.
+// TestNextEventCacheConsistent checks the cached event minimum against a
+// brute-force scan of the deadline arrays after every call of a busy
+// random workload.
 func TestNextEventCacheConsistent(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ScrubInterval = 50 * time.Microsecond
@@ -67,20 +67,24 @@ func TestNextEventCacheConsistent(t *testing.T) {
 	brute := func() (int64, bool) {
 		best, found := int64(0), false
 		for i := range c.banks {
-			b := &c.banks[i]
-			if b.hasInflight && (!found || b.busyUntil < best) {
-				best, found = b.busyUntil, true
-			}
-			if b.scrubEnabled && (!found || b.nextScrubAt < best) {
-				best, found = b.nextScrubAt, true
-			}
-			if !b.hasInflight && (b.readQ.len() > 0 || b.writeQ.len() > 0 || b.scrubPending.len() > 0) {
-				if !found || c.now < best {
-					best, found = c.now, true
+			for _, at := range [...]int64{c.busyUntil[i], c.scrubAt[i]} {
+				if at != never && (!found || at < best) {
+					best, found = at, true
 				}
 			}
 		}
 		return best, found
+	}
+	// dispatch runs after every change to a bank's queues or in-flight
+	// op, so no bank is ever left idle with work it could start.
+	checkNoIdleWork := func(step int) {
+		for i := range c.banks {
+			b := &c.banks[i]
+			if c.busyUntil[i] == never && b.readQ.len()+b.writeQ.len()+b.scrubPending.len() > 0 {
+				t.Fatalf("step %d: bank %d idle with %d reads, %d writes, %d scrubs queued",
+					step, i, b.readQ.len(), b.writeQ.len(), b.scrubPending.len())
+			}
+		}
 	}
 	rng := rand.New(rand.NewSource(2))
 	now := int64(0)
@@ -98,6 +102,7 @@ func TestNextEventCacheConsistent(t *testing.T) {
 			now += int64(rng.Intn(200_000))
 			scratch = c.AdvanceTo(now, scratch)
 		}
+		checkNoIdleWork(step)
 		gotAt, gotOK := c.NextEventAt()
 		wantAt, wantOK := brute()
 		if gotAt != wantAt || gotOK != wantOK {
