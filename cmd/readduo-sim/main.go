@@ -8,6 +8,8 @@
 //	edap    Table VII, per-line cell footprints, and Figure 11's EDAP,
 //	        normalized to the first -schemes entry
 //	tables  the analytical Tables I-V (no simulation)
+//	trace   the workload suite (Table X), synthetic trace files, and
+//	        conversion of external ChampSim/Pin traces (no simulation)
 //
 // Every simulating invocation runs one campaign (internal/campaign): jobs
 // execute on a bounded worker pool, every completed job is journaled when
@@ -22,6 +24,12 @@
 //	            [-budget=2000000] [-seed=1] [-report=<view>]
 //	            [-parallel=N] [-banks=N] [-journal=run.jsonl] [-resume] [-json]
 //	readduo-sim tables [-report=config|ler|wpolicy|all] [-metric=R|M|both]
+//	readduo-sim trace -list
+//	readduo-sim trace -benchmark=mcf [-records=1000000] [-cores=4] [-seed=1] [-out=mcf.trace] [-gzip]
+//	readduo-sim trace -ingest=trace.champsim.gz [-format=auto] [-gap=0] [-cores=4] [-out=ingested.trace] [-gzip]
+//
+// A trace file from `trace` replays through any simulating invocation with
+// -trace=<file>.
 //
 // -schemes accepts an arbitrary design-point list drawn from the scheme
 // registry's spec grammar, e.g. "Ideal,LWT-8,Select-4:2" or
@@ -105,6 +113,8 @@ func cli(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		return p.render(stdout, nil)
+	case "trace":
+		return traceCmd(args, stdout, stderr)
 	case "", "sweep", "edap":
 		opts, err := parseOptions(command, args, stdout, stderr)
 		if err != nil {
@@ -112,14 +122,14 @@ func cli(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		return run(ctx, opts)
 	}
-	return fmt.Errorf("unknown subcommand %q (want sweep, edap, or tables)", command)
+	return fmt.Errorf("unknown subcommand %q (want sweep, edap, tables, or trace)", command)
 }
 
 func newFlagSet(command string, stderr io.Writer) *flag.FlagSet {
 	fs := flag.NewFlagSet(strings.TrimSpace("readduo-sim "+command), flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: readduo-sim [sweep|edap|tables] [flags]\nflags of %s:\n", fs.Name())
+		fmt.Fprintf(stderr, "usage: readduo-sim [sweep|edap|tables|trace] [flags]\nflags of %s:\n", fs.Name())
 		fs.PrintDefaults()
 	}
 	return fs
@@ -158,7 +168,7 @@ func parseOptions(command string, args []string, stdout, stderr io.Writer) (opti
 	fs.Int64Var(&opts.seed, "seed", 1, "campaign seed (per-job seeds are derived from it)")
 	fs.StringVar(&opts.seedList, "seeds", "", "comma-separated replicate seeds (e.g. 1,2,3,4,5); overrides -seed")
 	fs.StringVar(&opts.what, "report", "all", reportUsage)
-	fs.StringVar(&opts.traceFile, "trace", "", "replay this capture (from tracegen) instead of generating accesses; requires -benchmarks naming the matching profile")
+	fs.StringVar(&opts.traceFile, "trace", "", "replay this trace file (written by readduo-sim trace) instead of generating accesses; requires -benchmarks naming the matching profile")
 	fs.BoolVar(&opts.jsonOut, "json", false, "emit the full result matrix as JSON instead of tables")
 	fs.BoolVar(&opts.emitBench, "emit-bench", false,
 		"emit results as go-test benchmark lines (one run per replicate seed) for benchjson governance")
@@ -285,13 +295,18 @@ func buildSpec(opts options, schemes []sim.Scheme) (campaign.Spec, func(), error
 		if prior != nil {
 			prior(job, cfg)
 		}
+		// A capture that vanished or changed since the check above must
+		// fail the job: a nil Source would silently simulate the
+		// synthetic generator instead.
 		f, err := os.Open(opts.traceFile)
 		if err != nil {
-			return // validated above; disappearing mid-run fails the job loudly later
+			cfg.Source = failedSource{err}
+			return
 		}
 		rp, err := trace.NewReplayer(f)
 		if err != nil {
 			f.Close()
+			cfg.Source = failedSource{fmt.Errorf("trace %s: %w", opts.traceFile, err)}
 			return
 		}
 		mu.Lock()
@@ -310,6 +325,12 @@ func buildSpec(opts options, schemes []sim.Scheme) (campaign.Spec, func(), error
 	}
 	return spec, cleanup, nil
 }
+
+// failedSource is the access stream of a job that could not open or parse
+// its capture: its first Next fails the job with err.
+type failedSource struct{ err error }
+
+func (s failedSource) Next(int) (trace.Record, error) { return trace.Record{}, s.err }
 
 func run(ctx context.Context, opts options) error {
 	if opts.resume && opts.journalPath == "" {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"readduo/internal/campaign"
@@ -143,5 +144,45 @@ func TestTraceReplayDoesNotBufferCapture(t *testing.T) {
 	if cap := uint64(info.Size()) / 4; growth > cap {
 		t.Fatalf("heap grew %d bytes replaying a %d-byte capture (cap %d): capture was buffered",
 			growth, info.Size(), cap)
+	}
+}
+
+// TestTraceLostAfterCheckFailsJob removes or corrupts the capture after
+// buildSpec has checked it. The job must fail and name the file rather
+// than fall back to the synthetic generator, whose results would pass
+// for the capture's.
+func TestTraceLostAfterCheckFailsJob(t *testing.T) {
+	for name, lose := range map[string]func(path string) error{
+		"removed":   os.Remove,
+		"corrupted": func(path string) error { return os.WriteFile(path, []byte("not a trace"), 0o644) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "lost.rdtr")
+			if _, _, err := runCLI(t, "trace", "-benchmark=gcc", "-records=1000", "-cores=1", "-out="+path); err != nil {
+				t.Fatal(err)
+			}
+			opts := options{
+				benchList: "gcc", schemeSet: "Ideal", budget: 20_000,
+				seed: 1, traceFile: path,
+			}
+			spec, cleanup, err := buildSpec(opts, mustSchemes(t, opts.schemeSet))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cleanup()
+			if err := lose(path); err != nil {
+				t.Fatal(err)
+			}
+			outcome, err := campaign.Run(context.Background(), spec, campaign.Options{Parallel: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if outcome.Failed != 1 {
+				t.Fatalf("%d/%d jobs failed, want 1", outcome.Failed, len(outcome.Records))
+			}
+			if rec := outcome.Records[0]; !strings.Contains(rec.Error, path) {
+				t.Errorf("job error %q does not name %s", rec.Error, path)
+			}
+		})
 	}
 }

@@ -319,7 +319,7 @@ type TraceRecord = trace.Record
 // it as SimConfig.Source).
 type TraceReplayer = trace.Replayer
 
-// NewTraceReplayer opens a trace capture written by cmd/tracegen or
+// NewTraceReplayer opens a trace file written by `readduo-sim trace` or
 // NewTraceWriter.
 func NewTraceReplayer(r io.ReadSeeker) (*TraceReplayer, error) { return trace.NewReplayer(r) }
 

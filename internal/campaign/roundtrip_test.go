@@ -63,9 +63,9 @@ func TestIngestRoundTripAggregates(t *testing.T) {
 	direct := aggregates(nil)
 
 	// Path B: the same stream through the full file pipeline. The trace
-	// is written with the derived per-job seed, exactly as tracegen
-	// would, then pushed through the ingest normalizer (native
-	// passthrough) before replay.
+	// is written with the derived per-job seed, exactly as `readduo-sim
+	// trace -seed` would, then pushed through the ingest normalizer
+	// (native passthrough) before replay.
 	gen, err := trace.NewGenerator(bench, cores, JobSeed(campaignSeed, bench.Name))
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 // Package corpus names the workload scenarios that go beyond the Table X
 // SPEC stand-ins: stress patterns the paper never ran (write-heavy, scan,
-// zipfian, bursty-diurnal) plus ingested-trace entries for real captures.
+// zipfian, bursty-diurnal) plus corpus:ingested, the age profile for
+// replaying an external trace.
 //
 // Every scenario registers a trace.Benchmark under the "corpus:" prefix,
 // so the whole corpus is addressable wherever benchmarks are named — one
@@ -14,7 +15,6 @@ package corpus
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -31,13 +31,9 @@ type Scenario struct {
 	Name string
 	// Desc is a one-line description for listings.
 	Desc string
-	// Benchmark is the registered profile driving the generator (and,
-	// for ingested entries, the age profile accompanying a replayed
-	// capture).
+	// Benchmark is the registered profile driving the generator (for
+	// corpus:ingested, the age profile accompanying a replayed trace).
 	Benchmark trace.Benchmark
-	// Ingested marks runtime-registered trace-replay entries (the
-	// profile models ages only; the access stream comes from a capture).
-	Ingested bool
 }
 
 const (
@@ -111,17 +107,6 @@ func init() {
 // Scenarios lists the static corpus in definition order.
 func Scenarios() []Scenario { return builtin() }
 
-// Names lists the registered benchmark names of the static corpus.
-func Names() []string {
-	scs := builtin()
-	out := make([]string, len(scs))
-	for i, sc := range scs {
-		out[i] = sc.Benchmark.Name
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ByName resolves a scenario by short name ("zipfian") or registered
 // name ("corpus:zipfian").
 func ByName(name string) (Scenario, bool) {
@@ -132,24 +117,4 @@ func ByName(name string) (Scenario, bool) {
 		}
 	}
 	return Scenario{}, false
-}
-
-// RegisterIngested registers a runtime scenario for a replayed capture
-// under corpus:<name>, using the neutral ingested age profile. The
-// returned benchmark is what campaign specs should carry; the caller
-// pairs it with a trace source via the spec's Configure hook.
-func RegisterIngested(name string) (trace.Benchmark, error) {
-	short := strings.TrimPrefix(name, Prefix)
-	if short == "" {
-		return trace.Benchmark{}, fmt.Errorf("corpus: ingested scenario needs a name")
-	}
-	if strings.ContainsAny(short, ", \t\n") {
-		return trace.Benchmark{}, fmt.Errorf("corpus: scenario name %q must not contain commas or spaces", short)
-	}
-	b := ingestedProfile()
-	b.Name = Prefix + short
-	if err := trace.Register(b); err != nil {
-		return trace.Benchmark{}, err
-	}
-	return b, nil
 }

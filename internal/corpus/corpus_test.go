@@ -83,27 +83,3 @@ func TestScenarioStreamsDiffer(t *testing.T) {
 		t.Fatalf("zipfian touched %d lines vs scan %d — reuse not concentrated", zipfLines, scanLines)
 	}
 }
-
-// TestRegisterIngested pins runtime capture registration.
-func TestRegisterIngested(t *testing.T) {
-	b, err := RegisterIngested("test-capture")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Name != "corpus:test-capture" {
-		t.Fatalf("registered name %q", b.Name)
-	}
-	if _, ok := trace.ByName("corpus:test-capture"); !ok {
-		t.Fatal("ingested scenario not resolvable")
-	}
-	// Idempotent.
-	if _, err := RegisterIngested("corpus:test-capture"); err != nil {
-		t.Fatalf("re-register: %v", err)
-	}
-	if _, err := RegisterIngested(""); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if _, err := RegisterIngested("a,b"); err == nil {
-		t.Fatal("comma name accepted")
-	}
-}

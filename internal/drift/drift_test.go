@@ -262,26 +262,43 @@ func TestSampleInitialWithinProgramWindow(t *testing.T) {
 }
 
 // TestMonteCarloAgreesWithAnalytic is the keystone cross-check: simulated
-// cells must drift into error at the analytically predicted rate.
+// cells must drift into error at the analytically predicted rate. One deep
+// case (level 2 at 64 s, 400k cells) sits beside the grid of every level
+// at 8, 64 and 640 s (20k cells each).
 func TestMonteCarloAgreesWithAnalytic(t *testing.T) {
 	c := RMetricConfig()
-	rng := rand.New(rand.NewSource(99))
-	const n = 400000
-	level := 2
-	at := 64.0
-	var errs int
-	for i := 0; i < n; i++ {
-		v0 := c.SampleInitial(level, rng)
-		a := c.SampleAlpha(level, rng)
-		if c.SenseLevel(c.LogValueAt(v0, a, at)) != level {
-			errs++
+	errorRate := func(rng *rand.Rand, level int, at float64, n int) float64 {
+		var errs int
+		for i := 0; i < n; i++ {
+			v0 := c.SampleInitial(level, rng)
+			a := c.SampleAlpha(level, rng)
+			if c.SenseLevel(c.LogValueAt(v0, a, at)) != level {
+				errs++
+			}
 		}
+		return float64(errs) / float64(n)
 	}
-	emp := float64(errs) / n
-	want := c.CellErrorProb(level, at)
+
+	const n = 400000
+	emp := errorRate(rand.New(rand.NewSource(99)), 2, 64, n)
+	want := c.CellErrorProb(2, 64)
 	// 400k trials at p~4e-3: sigma ~ 1e-4, allow 5 sigma.
 	if math.Abs(emp-want) > 5*math.Sqrt(want*(1-want)/n) {
 		t.Errorf("Monte-Carlo error rate %v vs analytic %v", emp, want)
+	}
+
+	// The grid allows 5 sigma plus 1e-6, so rates too small to sample
+	// at 20k cells pass at zero.
+	const cells = 20000
+	rng := rand.New(rand.NewSource(1))
+	for _, at := range []float64{8, 64, 640} {
+		for level := 0; level < LevelCount; level++ {
+			emp := errorRate(rng, level, at, cells)
+			want := c.CellErrorProb(level, at)
+			if math.Abs(emp-want) > 5*math.Sqrt(want*(1-want)/cells)+1e-6 {
+				t.Errorf("level %d at %gs: Monte-Carlo error rate %v vs analytic %v", level, at, emp, want)
+			}
+		}
 	}
 }
 

@@ -17,8 +17,8 @@
 //     Blank lines and '#' comments are ignored; anything else is a
 //     malformed-input error naming the line.
 //
-// Native trace files (tracegen output, proxy captures) pass through
-// unchanged, so one ingest path serves every workload source.
+// Native trace files (`readduo-sim trace` output) pass through unchanged,
+// so one ingest path serves every workload source.
 //
 // Parsed accesses are normalized for the simulator's multiprogrammed
 // setup: with Cores=N, each access is replicated across N per-core

@@ -185,14 +185,22 @@ func TestTimeMonotonicityEnforced(t *testing.T) {
 // schedules of writes and reads spanning many scrub intervals, every read
 // must return the most recently written payload — R-sensing when tracked,
 // M-sensing otherwise — against real simulated cells and a real BCH codec.
+// Each schedule runs once without and once with R-M-read conversion.
 func TestCorrectnessProperty(t *testing.T) {
-	prop := func(seed int64) bool {
+	var conversions int
+	schedule := func(seed int64, convert bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := DefaultConfig()
 		cfg.Phase = time.Duration(rng.Intn(640)) * time.Second
 		d, err := NewDevice(cfg)
 		if err != nil {
 			return false
+		}
+		var conv *lwt.Converter
+		if convert {
+			if conv, err = lwt.NewConverter(); err != nil {
+				return false
+			}
 		}
 		current := payload(rng, d.DataBytes())
 		if _, err := d.Write(current, 0, rng); err != nil {
@@ -210,9 +218,12 @@ func TestCorrectnessProperty(t *testing.T) {
 				}
 				continue
 			}
-			res, err := d.Read(now, nil, rng)
+			res, err := d.Read(now, conv, rng)
 			if err != nil {
 				return false
+			}
+			if res.Converted {
+				conversions++
 			}
 			if !bytes.Equal(res.Data, current) {
 				return false
@@ -220,8 +231,12 @@ func TestCorrectnessProperty(t *testing.T) {
 		}
 		return true
 	}
+	prop := func(seed int64) bool { return schedule(seed, false) && schedule(seed, true) }
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+	if conversions == 0 {
+		t.Error("no read was converted: the converter path went untested")
 	}
 }
 

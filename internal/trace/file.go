@@ -91,8 +91,8 @@ type Reader struct {
 
 // NewReader parses the header. Gzip-compressed trace files are accepted
 // transparently: the stream is sniffed for the gzip magic bytes and
-// decompressed before header parsing, so `tracegen -gzip` output (and any
-// externally compressed capture) reads like a plain trace.
+// decompressed before header parsing, so `readduo-sim trace -gzip` output
+// (and any externally compressed capture) reads like a plain trace.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReader(r)
 	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {

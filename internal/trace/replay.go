@@ -7,9 +7,9 @@ import (
 )
 
 // Replayer serves per-core access streams from a recorded trace file, the
-// counterpart of cmd/tracegen. The file is a single merged stream; the
-// replayer demultiplexes it with per-core look-ahead queues and rewinds at
-// end of file, so a finite capture drives an arbitrarily long simulation
+// counterpart of Writer. The file is a single merged stream; the replayer
+// demultiplexes it with per-core look-ahead queues and rewinds at end of
+// file, so a finite capture drives an arbitrarily long simulation
 // (standard trace-loop methodology).
 type Replayer struct {
 	src    io.ReadSeeker
