@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"text/tabwriter"
 
@@ -37,9 +38,12 @@ func traceCmd(args []string, stdout, stderr io.Writer) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	if *gap > math.MaxUint32 {
+		return fmt.Errorf("-gap %d exceeds the trace format's maximum of %d", *gap, uint32(math.MaxUint32))
+	}
 	switch {
 	case *ingestPath != "":
-		return ingestTrace(stdout, *ingestPath, *format, *cores, *gap, *out, *gz)
+		return ingestTrace(stdout, *ingestPath, *format, *cores, uint32(*gap), *out, *gz)
 	case *list:
 		return printSuite(stdout)
 	}
@@ -84,7 +88,7 @@ func generateTrace(stdout io.Writer, bench string, records uint64, cores int, se
 	return nil
 }
 
-func ingestTrace(stdout io.Writer, path, format string, cores int, gap uint64, out string, gz bool) error {
+func ingestTrace(stdout io.Writer, path, format string, cores int, gap uint32, out string, gz bool) error {
 	fm, err := ingest.ParseFormat(format)
 	if err != nil {
 		return err
@@ -98,7 +102,7 @@ func ingestTrace(stdout io.Writer, path, format string, cores int, gap uint64, o
 	var n uint64
 	err = writeTrace(out, gz, func(dst io.Writer) error {
 		var err error
-		n, err = ingest.Convert(dst, src, fm, ingestedName, ingest.Options{Cores: cores, Gap: uint32(gap)})
+		n, err = ingest.Convert(dst, src, fm, ingestedName, ingest.Options{Cores: cores, Gap: gap})
 		if err != nil {
 			return fmt.Errorf("ingest %s: %w", path, err)
 		}

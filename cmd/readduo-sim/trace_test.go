@@ -8,6 +8,7 @@ import (
 	"errors"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -66,14 +67,40 @@ func TestTraceList(t *testing.T) {
 	}
 }
 
-// TestTraceValidation checks that a missing or unknown benchmark and the
-// campaign flags, which trace does not take, fail before any output.
+// TestTraceValidation checks that a missing or unknown benchmark, the
+// campaign flags, which trace does not take, and a -gap wider than the
+// format's 32-bit gap fail before any output. The widest gap that fits
+// is written as given.
 func TestTraceValidation(t *testing.T) {
+	dir := t.TempDir()
+	pin := filepath.Join(dir, "one.pin")
+	if err := os.WriteFile(pin, []byte("R 0x40\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "gap.trace")
 	checkRejected(t, []rejectCase{
 		{[]string{"trace", "-records=10"}, "need -benchmark"},
 		{[]string{"trace", "-benchmark=nonesuch"}, "unknown benchmark"},
 		{[]string{"trace", "-budget=1000"}, "not defined"},
+		{[]string{"trace", "-ingest=" + pin, "-format=pin", "-gap=4294967297", "-out=" + out}, "-gap 4294967297"},
 	})
+	checkGone(t, out)
+
+	if _, _, err := runCLI(t, "trace", "-ingest="+pin, "-format=pin", "-gap=4294967295", "-out="+out); err != nil {
+		t.Fatalf("-gap=4294967295: %v", err)
+	}
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r, err := trace.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := r.Read(); err != nil || rec.Gap != math.MaxUint32 {
+		t.Errorf("first record %+v (err %v), want gap %d", rec, err, uint32(math.MaxUint32))
+	}
 }
 
 func TestTraceGeneratesReadableTrace(t *testing.T) {

@@ -11,34 +11,34 @@ import (
 // named scenarios, every one resolvable through trace.ByName (the hook
 // readduo-sim and the serve grammar both use), profiles valid.
 func TestCorpusRegistered(t *testing.T) {
-	scs := Scenarios()
+	scs := builtin()
 	if len(scs) < 4 {
 		t.Fatalf("corpus has %d scenarios, want >= 4", len(scs))
 	}
 	for _, sc := range scs {
-		if !strings.HasPrefix(sc.Benchmark.Name, Prefix) {
-			t.Fatalf("scenario %q benchmark name %q lacks the corpus prefix", sc.Name, sc.Benchmark.Name)
+		if !strings.HasPrefix(sc.Name, Prefix) {
+			t.Fatalf("scenario %q lacks the corpus prefix", sc.Name)
 		}
-		if err := sc.Benchmark.Validate(); err != nil {
+		if err := sc.Validate(); err != nil {
 			t.Fatalf("scenario %q: %v", sc.Name, err)
 		}
-		got, ok := trace.ByName(sc.Benchmark.Name)
+		got, ok := trace.ByName(sc.Name)
 		if !ok {
-			t.Fatalf("scenario %q not registered in trace.ByName", sc.Benchmark.Name)
+			t.Fatalf("scenario %q not registered in trace.ByName", sc.Name)
 		}
-		if got != sc.Benchmark {
-			t.Fatalf("scenario %q registry mismatch", sc.Benchmark.Name)
+		if got != sc {
+			t.Fatalf("scenario %q registry mismatch", sc.Name)
 		}
 	}
-	// Short and prefixed lookups both resolve.
-	if _, ok := ByName("zipfian"); !ok {
-		t.Fatal("ByName(zipfian) failed")
+	// Only the prefixed name resolves; an unknown scenario does not.
+	if _, ok := trace.ByName(Prefix + "zipfian"); !ok {
+		t.Fatal("trace.ByName(corpus:zipfian) failed")
 	}
-	if _, ok := ByName("corpus:zipfian"); !ok {
-		t.Fatal("ByName(corpus:zipfian) failed")
+	if _, ok := trace.ByName("zipfian"); ok {
+		t.Fatal("trace.ByName(zipfian) resolved without the corpus prefix")
 	}
-	if _, ok := ByName("nope"); ok {
-		t.Fatal("ByName(nope) resolved")
+	if _, ok := trace.ByName(Prefix + "nope"); ok {
+		t.Fatal("trace.ByName(corpus:nope) resolved")
 	}
 }
 
@@ -47,11 +47,11 @@ func TestCorpusRegistered(t *testing.T) {
 // scan, and zipfian concentrates reuse far more than scan.
 func TestScenarioStreamsDiffer(t *testing.T) {
 	frac := func(name string) (writeFrac float64, distinct int) {
-		sc, ok := ByName(name)
+		b, ok := trace.ByName(Prefix + name)
 		if !ok {
-			t.Fatalf("scenario %q missing", name)
+			t.Fatalf("scenario %q missing", Prefix+name)
 		}
-		g, err := trace.NewGenerator(sc.Benchmark, 1, 42)
+		g, err := trace.NewGenerator(b, 1, 42)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,6 +56,15 @@ func gaussLegendreRule(n int) *glRule {
 	return r
 }
 
+// GaussLegendreRule returns the nodes and weights on [-1, 1] of the
+// n-point rule GaussLegendre sums over, for callers that map the nodes
+// once and evaluate an integrand at them many times. The slices are
+// shared by every caller and must not be modified.
+func GaussLegendreRule(n int) (nodes, weights []float64) {
+	r := gaussLegendreRule(n)
+	return r.nodes, r.weights
+}
+
 // GaussLegendre integrates f over [a, b] with an n-point Gauss-Legendre
 // rule. The drift-crossing integrands in this repo are smooth products of a
 // Gaussian density and a Gaussian tail, for which n around 100-200 reaches

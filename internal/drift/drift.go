@@ -199,102 +199,13 @@ func (c Config) programWindow(level int) (dist.TruncNormal, error) {
 	return dist.NewTruncNormal(lv.MuLog, lv.SigmaLog, lv.MuLog-half, lv.MuLog+half)
 }
 
-// lambda converts elapsed time to the drift multiplier log10(t/t0).
-func (c Config) lambda(t float64) float64 {
-	if t <= c.T0 {
-		return 0
-	}
-	return math.Log10(t / c.T0)
-}
-
-// CrossProbUp returns the probability that a cell programmed to level at
-// time 0 has drifted above its upper read reference by time t (seconds).
-//
-// It integrates, over the truncated-normal initial position X, the Gaussian
-// tail P[alpha > (boundary - X) / log10(t/t0)].
-func (c Config) CrossProbUp(level int, t float64) float64 {
-	if level < 0 || level >= LevelCount-1 {
-		return 0
-	}
-	lam := c.lambda(t)
-	if lam <= 0 {
-		return 0
-	}
-	lv := c.Levels[level]
-	if lv.SigmaAlpha == 0 {
-		// Deterministic drift: crossing iff X + mu_alpha*lam > boundary.
-		win, err := c.programWindow(level)
-		if err != nil {
-			return 0
-		}
-		return 1 - win.CDF(c.UpperBoundary(level)-lv.MuAlpha*lam)
-	}
-	win, err := c.programWindow(level)
-	if err != nil {
-		return 0
-	}
-	bound := c.UpperBoundary(level)
-	lo, hi := win.Bounds()
-	nodes := c.QuadNodes
-	if nodes <= 0 {
-		nodes = defaultQuadNodes
-	}
-	f := func(x float64) float64 {
-		thr := (bound - x) / lam
-		return win.PDF(x) * dist.StdNormalSF((thr-lv.MuAlpha)/lv.SigmaAlpha)
-	}
-	return dist.GaussLegendre(f, lo, hi, nodes)
-}
-
-// CellErrorProb returns the probability that a cell programmed to level
-// reads out as a different state at time t.
-//
-// Resistance drift is structural relaxation and only ever increases the
-// metric (the drift exponent is clamped at zero, see SampleAlpha), so a
-// drift error is exactly an up-crossing — matching the paper's error model
-// ("a cell in '01' state drifts above the resistance of Ref3").
-func (c Config) CellErrorProb(level int, t float64) float64 {
-	p := c.CrossProbUp(level, t)
-	if p > 1 {
-		return 1
-	}
-	return p
-}
-
 // AvgCellErrorProb returns the per-cell drift-error probability at time t
-// averaged over the four levels, assuming uniformly distributed data (the
-// assumption behind the paper's Tables III/IV).
+// averaged over the four levels, assuming uniformly distributed data. It
+// builds c's Kernel for one age; callers that evaluate many ages keep the
+// Kernel instead.
 func (c Config) AvgCellErrorProb(t float64) float64 {
-	var sum float64
-	for level := 0; level < LevelCount; level++ {
-		sum += c.CellErrorProb(level, t)
-	}
-	return sum / LevelCount
-}
-
-// ErrorProbBetween returns the probability that a cell programmed to level
-// at time 0 first drifts into error during the window (t1, t2]. Drift paths
-// are monotone for a fixed cell (alpha is per-cell constant), so this is the
-// difference of the cumulative crossing probabilities.
-func (c Config) ErrorProbBetween(level int, t1, t2 float64) float64 {
-	if t2 <= t1 {
-		return 0
-	}
-	p := c.CellErrorProb(level, t2) - c.CellErrorProb(level, t1)
-	if p < 0 {
-		return 0
-	}
-	return p
-}
-
-// AvgErrorProbBetween averages ErrorProbBetween over uniformly distributed
-// levels.
-func (c Config) AvgErrorProbBetween(t1, t2 float64) float64 {
-	var sum float64
-	for level := 0; level < LevelCount; level++ {
-		sum += c.ErrorProbBetween(level, t1, t2)
-	}
-	return sum / LevelCount
+	k := c.Kernel()
+	return k.AvgCellErrorProb(t)
 }
 
 // SampleInitial draws log10 of a freshly programmed metric value for level,
@@ -326,7 +237,7 @@ func (c Config) SampleAlpha(level int, rng *rand.Rand) float64 {
 // LogValueAt evolves a cell: given log10 V0 at programming time and the
 // cell's drift exponent, it returns log10 V(t) after t seconds.
 func (c Config) LogValueAt(logV0, alpha, t float64) float64 {
-	return logV0 + alpha*c.lambda(t)
+	return logV0 + alpha*lambda(c.T0, t)
 }
 
 // SenseLevel returns the state a readout circuit reports for a cell whose

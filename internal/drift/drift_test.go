@@ -144,23 +144,23 @@ func TestCrossProbMatchesTableIII(t *testing.T) {
 }
 
 func TestCrossProbZeroAtT0(t *testing.T) {
-	c := RMetricConfig()
+	k := RMetricConfig().Kernel()
 	for level := 0; level < LevelCount; level++ {
-		if got := c.CellErrorProb(level, 1); got != 0 {
+		if got := k.CellErrorProb(level, 1); got != 0 {
 			t.Errorf("error prob at t0 for level %d = %v, want 0", level, got)
 		}
-		if got := c.CellErrorProb(level, 0.5); got != 0 {
+		if got := k.CellErrorProb(level, 0.5); got != 0 {
 			t.Errorf("error prob before t0 for level %d = %v, want 0", level, got)
 		}
 	}
 }
 
 func TestCrossProbMonotoneInTime(t *testing.T) {
-	c := RMetricConfig()
+	k := RMetricConfig().Kernel()
 	for level := 0; level < LevelCount-1; level++ {
 		prev := -1.0
 		for _, s := range []float64{2, 4, 8, 64, 640, 1e4, 1e6} {
-			cur := c.CrossProbUp(level, s)
+			cur := k.CrossProbUp(level, s)
 			if cur < prev-1e-15 {
 				t.Errorf("level %d: crossing prob decreased at t=%v", level, s)
 			}
@@ -172,13 +172,13 @@ func TestCrossProbMonotoneInTime(t *testing.T) {
 func TestCrossProbOrderedByAlpha(t *testing.T) {
 	// Levels with larger drift exponents must have larger crossing
 	// probability at equal time (levels 0..2; level 3 has no boundary).
-	c := RMetricConfig()
+	k := RMetricConfig().Kernel()
 	at := 64.0
-	p0, p1, p2 := c.CrossProbUp(0, at), c.CrossProbUp(1, at), c.CrossProbUp(2, at)
+	p0, p1, p2 := k.CrossProbUp(0, at), k.CrossProbUp(1, at), k.CrossProbUp(2, at)
 	if !(p0 <= p1 && p1 <= p2) {
 		t.Errorf("crossing probs not ordered: %v %v %v", p0, p1, p2)
 	}
-	if c.CrossProbUp(3, at) != 0 {
+	if k.CrossProbUp(3, at) != 0 {
 		t.Error("top level must never up-cross")
 	}
 }
@@ -214,16 +214,16 @@ func binTail256(p float64, e int) float64 {
 }
 
 func TestErrorProbBetweenPartitions(t *testing.T) {
-	c := RMetricConfig()
-	total := c.CellErrorProb(2, 1280)
-	sum := c.ErrorProbBetween(2, 0, 640) + c.ErrorProbBetween(2, 640, 1280)
+	k := RMetricConfig().Kernel()
+	total := k.CellErrorProb(2, 1280)
+	sum := k.ErrorProbBetween(2, 0, 640) + k.ErrorProbBetween(2, 640, 1280)
 	if math.Abs(total-sum)/total > 1e-9 {
 		t.Errorf("interval partition: total %v != sum %v", total, sum)
 	}
-	if got := c.ErrorProbBetween(2, 100, 100); got != 0 {
+	if got := k.ErrorProbBetween(2, 100, 100); got != 0 {
 		t.Errorf("empty interval prob = %v, want 0", got)
 	}
-	if got := c.ErrorProbBetween(2, 200, 100); got != 0 {
+	if got := k.ErrorProbBetween(2, 200, 100); got != 0 {
 		t.Errorf("reversed interval prob = %v, want 0", got)
 	}
 }
@@ -281,7 +281,8 @@ func TestMonteCarloAgreesWithAnalytic(t *testing.T) {
 
 	const n = 400000
 	emp := errorRate(rand.New(rand.NewSource(99)), 2, 64, n)
-	want := c.CellErrorProb(2, 64)
+	k := c.Kernel()
+	want := k.CellErrorProb(2, 64)
 	// 400k trials at p~4e-3: sigma ~ 1e-4, allow 5 sigma.
 	if math.Abs(emp-want) > 5*math.Sqrt(want*(1-want)/n) {
 		t.Errorf("Monte-Carlo error rate %v vs analytic %v", emp, want)
@@ -294,7 +295,7 @@ func TestMonteCarloAgreesWithAnalytic(t *testing.T) {
 	for _, at := range []float64{8, 64, 640} {
 		for level := 0; level < LevelCount; level++ {
 			emp := errorRate(rng, level, at, cells)
-			want := c.CellErrorProb(level, at)
+			want := k.CellErrorProb(level, at)
 			if math.Abs(emp-want) > 5*math.Sqrt(want*(1-want)/cells)+1e-6 {
 				t.Errorf("level %d at %gs: Monte-Carlo error rate %v vs analytic %v", level, at, emp, want)
 			}

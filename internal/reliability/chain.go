@@ -54,8 +54,8 @@ func (a *Analyzer) WPolicyChain(e, w int, s float64, maxIntervals int) ([]ChainT
 			// errors arrive before the first scrub (condition (i)).
 			p = a.LER(e, s)
 		} else {
-			pA := a.cfg.AvgCellErrorProb(float64(j-1) * s)
-			pB := a.cfg.AvgErrorProbBetween(float64(j-1)*s, float64(j)*s)
+			pA := a.kern.AvgCellErrorProb(float64(j-1) * s)
+			pB := a.kern.AvgErrorProbBetween(float64(j-1)*s, float64(j)*s)
 			p, err = dist.MultinomJointTail(a.cells, pA, pB, w, e-w)
 			if err != nil {
 				return nil, err

@@ -24,7 +24,7 @@ func (a *Analyzer) LERWithHardErrors(e, hard int, t float64) float64 {
 	}
 	// Stuck cells no longer accumulate drift errors; the remaining
 	// cells-hard cells draw from the usual crossing probability.
-	p := a.cfg.AvgCellErrorProb(t)
+	p := a.kern.AvgCellErrorProb(t)
 	n := a.cells - hard
 	if n <= 0 {
 		return 1

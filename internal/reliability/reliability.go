@@ -46,7 +46,9 @@ func TargetLER(seconds float64) float64 {
 
 // Analyzer evaluates line error rates for one readout metric.
 type Analyzer struct {
-	cfg   drift.Config
+	metric drift.Metric
+	// kern evaluates every crossing probability the analyzer needs.
+	kern  drift.Kernel
 	cells int
 }
 
@@ -64,25 +66,26 @@ func NewAnalyzer(cfg drift.Config, opts ...Option) (*Analyzer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("reliability: %w", err)
 	}
-	a := &Analyzer{cfg: cfg, cells: CellsPerLine}
+	a := &Analyzer{metric: cfg.Metric, cells: CellsPerLine}
 	for _, opt := range opts {
 		opt(a)
 	}
 	if a.cells <= 0 {
 		return nil, fmt.Errorf("reliability: cells per line must be positive, got %d", a.cells)
 	}
+	a.kern = cfg.Kernel()
 	return a, nil
 }
 
 // Metric returns the readout metric this analyzer models.
-func (a *Analyzer) Metric() drift.Metric { return a.cfg.Metric }
+func (a *Analyzer) Metric() drift.Metric { return a.metric }
 
 // LER returns the probability that a line written at time 0 holds more than
 // e drift errors at age t seconds — the body of Tables III/IV. Cells hold
 // uniformly distributed data, so each is an independent Bernoulli trial with
 // the level-averaged crossing probability.
 func (a *Analyzer) LER(e int, t float64) float64 {
-	p := a.cfg.AvgCellErrorProb(t)
+	p := a.kern.AvgCellErrorProb(t)
 	return dist.BinomTailGT(a.cells, p, e)
 }
 
@@ -99,7 +102,7 @@ func (a *Analyzer) LERWithDisturb(e int, t float64, ch drift.DisturbChannel, rea
 		// Exact default-off gate: 1-(1-p) rounds, LER does not.
 		return a.LER(e, t)
 	}
-	p := a.cfg.AvgCellErrorProb(t)
+	p := a.kern.AvgCellErrorProb(t)
 	combined := 1 - (1-p)*(1-q)
 	return dist.BinomTailGT(a.cells, combined, e)
 }
@@ -110,16 +113,16 @@ func (a *Analyzer) LERWithDisturb(e int, t float64, ch drift.DisturbChannel, rea
 // interval. Cell categories are disjoint ("first error in interval 1" vs
 // "first error in interval 2"), so the joint probability is multinomial.
 func (a *Analyzer) WPolicySecondInterval(e, w int, s float64) (float64, error) {
-	pA := a.cfg.AvgCellErrorProb(s)
-	pB := a.cfg.AvgErrorProbBetween(s, 2*s)
+	pA := a.kern.AvgCellErrorProb(s)
+	pB := a.kern.AvgErrorProbBetween(s, 2*s)
 	return dist.MultinomJointTail(a.cells, pA, pB, w, e-w)
 }
 
 // WPolicyThirdInterval returns probability (iii): fewer than w errors during
 // the first two intervals, more than e-w during the third.
 func (a *Analyzer) WPolicyThirdInterval(e, w int, s float64) (float64, error) {
-	pA := a.cfg.AvgCellErrorProb(2 * s)
-	pB := a.cfg.AvgErrorProbBetween(2*s, 3*s)
+	pA := a.kern.AvgCellErrorProb(2 * s)
+	pB := a.kern.AvgErrorProbBetween(2*s, 3*s)
 	return dist.MultinomJointTail(a.cells, pA, pB, w, e-w)
 }
 
@@ -241,7 +244,7 @@ func PaperECCs() []int {
 // BuildTable evaluates the full LER grid.
 func (a *Analyzer) BuildTable(intervals []float64, eccs []int) Table {
 	t := Table{
-		Metric:    a.cfg.Metric,
+		Metric:    a.metric,
 		Intervals: append([]float64(nil), intervals...),
 		ECCs:      append([]int(nil), eccs...),
 		Values:    make([][]float64, len(intervals)),
@@ -249,7 +252,7 @@ func (a *Analyzer) BuildTable(intervals []float64, eccs []int) Table {
 	}
 	for i, s := range intervals {
 		row := make([]float64, len(eccs))
-		p := a.cfg.AvgCellErrorProb(s)
+		p := a.kern.AvgCellErrorProb(s)
 		for j, e := range eccs {
 			row[j] = dist.BinomTailGT(a.cells, p, e)
 		}

@@ -118,3 +118,60 @@ func TestMaxHardErrors(t *testing.T) {
 }
 
 func reliabilityTarget(s float64) float64 { return TargetLER(s) }
+
+// TestSteadyStateRewriteFractionPinned pins the W=1 rewrite fractions of
+// the two scrubbing baselines, Scrubbing (R-metric, S = 8 s) and M-metric
+// (S = 640 s), to their exact bits at three temperatures. Each value sums
+// survival over up to 4,096 crossing integrals, so a change to the
+// quadrature's arithmetic shows here.
+func TestSteadyStateRewriteFractionPinned(t *testing.T) {
+	for _, tc := range []struct {
+		metric drift.Metric
+		s      float64
+		tempK  float64
+		bits   uint64
+	}{
+		{drift.MetricR, 8, 250, 0x3f730e436377a5d0},
+		{drift.MetricR, 8, 300, 0x3f93fad28b946c87},
+		{drift.MetricR, 8, 350, 0x3fab8e70f3eca519},
+		{drift.MetricM, 640, 250, 0x3ec74b2c5526c3dd},
+		{drift.MetricM, 640, 300, 0x3ed368575c83069d},
+		{drift.MetricM, 640, 350, 0x3edd95e1455fc433},
+	} {
+		an := mustAnalyzer(t, drift.MetricConfigAt(tc.metric, tc.tempK))
+		got := an.SteadyStateRewriteFraction(tc.s)
+		if bits := math.Float64bits(got); bits != tc.bits {
+			t.Errorf("%v S=%gs at %gK: fraction %v (%#016x), want %v (%#016x)",
+				tc.metric, tc.s, tc.tempK, got, bits, math.Float64frombits(tc.bits), tc.bits)
+		}
+	}
+}
+
+// benchFraction keeps the benchmarked fraction live.
+var benchFraction float64
+
+// BenchmarkSteadyStateRewriteFraction measures the cold cost the
+// simulator pays per drift config for its two W=1 scrubbing baselines: a
+// fresh Analyzer (and so a fresh crossing kernel) per op, then the
+// 4,096-integral renewal sum.
+func BenchmarkSteadyStateRewriteFraction(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cfg  drift.Config
+		s    float64
+	}{
+		{"R@8s", drift.RMetricConfig(), 8},
+		{"M@640s", drift.MMetricConfig(), 640},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				an, err := NewAnalyzer(bc.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchFraction = an.SteadyStateRewriteFraction(bc.s)
+			}
+		})
+	}
+}

@@ -37,9 +37,10 @@ func newProbCache(cfg drift.Config, correctT int) *probCache {
 	pc.pRetry = make([]float64, probCachePoints)
 	pc.pSilent = make([]float64, probCachePoints)
 	detect := 2*correctT + 1
+	kern := cfg.Kernel()
 	for i := 0; i < probCachePoints; i++ {
 		age := math.Exp(pc.logMin + float64(i)*pc.step)
-		p := cfg.AvgCellErrorProb(age)
+		p := kern.AvgCellErrorProb(age)
 		n := reliability.CellsPerLine
 		pc.pAnyError[i] = 1 - math.Pow(1-p, float64(n))
 		tailT := dist.BinomTailGT(n, p, correctT)
