@@ -231,12 +231,22 @@ func DefaultSenseTiming() SenseTiming { return sense.DefaultTiming() }
 // ---------------------------------------------------------------------------
 // Full-system simulation
 
-// Scheme is one of the evaluated design points: a named composition of a
-// sense, scrub, and write policy.
+// Scheme is one of the evaluated design points: a named SchemeDesign.
 type Scheme = sim.Scheme
 
-// SchemeDesign is the three-axis policy composition behind a Scheme.
+// SchemeDesign is the value behind a Scheme: a sense mode, a scrub plan, a
+// write mode, the parameters they take (K sub-intervals for tracking, S
+// for Select, R for LWC, Convert for adaptive conversion) and the
+// environment.
 type SchemeDesign = sim.Design
+
+// SchemeSense, SchemeScrub and SchemeWrite are a SchemeDesign's read path,
+// scrub plan (the zero value never scrubs) and demand-write path.
+type (
+	SchemeSense = sim.Sense
+	SchemeScrub = sim.Scrub
+	SchemeWrite = sim.Write
+)
 
 // The paper's schemes, plus the LWC write family (Kim et al., "Locally
 // Rewritable Codes for Resistive Memories").
@@ -262,23 +272,21 @@ type SchemeEnvironment = sim.Environment
 // and result caches stay stable.
 func SchemeAtEnv(s Scheme, env SchemeEnvironment) (Scheme, error) { return s.AtEnv(env) }
 
-// Policy constructors for composing schemes beyond the paper's seven.
-var (
-	RSensePolicy        = sim.RSense
-	MSensePolicy        = sim.MSense
-	HybridSensePolicy   = sim.HybridSense
-	TrackedSensePolicy  = sim.TrackedSense
-	NoScrubPolicy       = sim.NoScrub
-	IntervalScrubPolicy = sim.IntervalScrub
-	PlainWritePolicy    = sim.PlainWrite
-	TLCWritePolicy      = sim.TLCWrite
-	TrackedWritePolicy  = sim.TrackedWrite
-	SelectWritePolicy   = sim.SelectWrite
-	LWCWritePolicy      = sim.LWCWrite
+// Sense and write modes for composing schemes beyond the paper's seven.
+const (
+	SchemeSenseR       = sim.SenseR       // R-sense every read
+	SchemeSenseM       = sim.SenseM       // M-sense every read
+	SchemeSenseHybrid  = sim.SenseHybrid  // R first, M retry by drift age
+	SchemeSenseTracked = sim.SenseTracked // LWT flags over K sub-intervals
+	SchemeWritePlain   = sim.WritePlain   // full MLC line writes
+	SchemeWriteTLC     = sim.WriteTLC     // full writes over the TLC line
+	SchemeWriteTracked = sim.WriteTracked // full writes maintaining LWT flags
+	SchemeWriteSelect  = sim.WriteSelect  // Select-(K:S) differential writes
+	SchemeWriteLWC     = sim.WriteLWC     // LWC-R local rewrites
 )
 
-// ComposeScheme names an arbitrary policy composition so it can run
-// anywhere a paper scheme can.
+// ComposeScheme names an arbitrary design so it can run anywhere a paper
+// scheme can.
 func ComposeScheme(label string, d SchemeDesign) Scheme { return sim.Compose(label, d) }
 
 // ParseScheme resolves one scheme spec string: a paper name ("LWT-8"), a

@@ -155,12 +155,15 @@ func TestPublicSchemeComposition(t *testing.T) {
 		t.Errorf("prior+readduo = %d schemes", got)
 	}
 
-	// A design point the paper never built: tracked sensing over plain
-	// full writes, scrubbed on the M metric.
+	// A design point the paper never built: tracked sensing over Select
+	// writes, scrubbed on the M metric with Hybrid's W=0 rewrites.
 	custom := readduo.ComposeScheme("lwt8-over-select", readduo.SchemeDesign{
-		Sense: readduo.TrackedSensePolicy(8, true),
-		Scrub: readduo.IntervalScrubPolicy(640*time.Second, readduo.MetricM, 0),
-		Write: readduo.SelectWritePolicy(8, 4),
+		Sense:   readduo.SchemeSenseTracked,
+		Scrub:   readduo.SchemeScrub{Interval: 640 * time.Second, Metric: readduo.MetricM, W: 0},
+		Write:   readduo.SchemeWriteSelect,
+		K:       8,
+		S:       4,
+		Convert: true,
 	})
 	if err := custom.Validate(); err != nil {
 		t.Fatalf("custom scheme invalid: %v", err)

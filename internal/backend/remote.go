@@ -33,48 +33,27 @@ type ComputeRequest struct {
 // the TCP connection outlives the caller's patience.
 const DeadlineHeader = "X-Deadline-Ms"
 
-// RemoteOptions tunes a Remote backend; the zero value selects
-// production defaults.
+// RemoteOptions tunes a Remote backend.
 type RemoteOptions struct {
-	// Replicas is the virtual-node count per worker on the hash ring;
-	// <= 0 selects 64.
-	Replicas int
-	// FailThreshold opens a node's circuit after this many consecutive
-	// failures; <= 0 selects 3.
-	FailThreshold int
-	// Cooldown is how long an open circuit refuses a node before
-	// allowing a half-open trial; <= 0 selects 5s.
-	Cooldown time.Duration
 	// ComputeTimeout caps one remote attempt; <= 0 leaves the caller's
 	// ctx deadline as the only bound.
 	ComputeTimeout time.Duration
-	// HealthInterval is the probe period for open circuits (a 200 from
-	// /healthz closes the circuit early); <= 0 selects 1s. Set Client
-	// and HealthInterval generously in tests.
-	HealthInterval time.Duration
-	// Client overrides the HTTP client (tests, custom transports).
-	Client *http.Client
 	// Sink receives remote.* telemetry; nil disables probes.
 	Sink *telemetry.Sink
 }
 
-func (o *RemoteOptions) applyDefaults() {
-	if o.Replicas <= 0 {
-		o.Replicas = defaultReplicas
-	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 3
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 5 * time.Second
-	}
-	if o.HealthInterval <= 0 {
-		o.HealthInterval = time.Second
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{}
-	}
+// breaker is the per-node circuit breaker's timing: a node's circuit
+// opens after failThreshold consecutive failures, refuses the node for
+// cooldown before a half-open trial, and is probed on /healthz every
+// healthInterval while open (a 200 closes it early).
+type breaker struct {
+	failThreshold  int
+	cooldown       time.Duration
+	healthInterval time.Duration
 }
+
+// defaultBreaker is every Remote's breaker.
+var defaultBreaker = breaker{failThreshold: 3, cooldown: 5 * time.Second, healthInterval: time.Second}
 
 // NodeStatus is one worker's live routing state, surfaced on /statusz.
 type NodeStatus struct {
@@ -186,6 +165,8 @@ type Remote struct {
 	nodes   []*nodeState
 	local   *Local
 	opts    RemoteOptions
+	brk     breaker
+	client  *http.Client
 	tel     remoteProbes
 
 	inflight atomic.Int64
@@ -200,15 +181,22 @@ type Remote struct {
 // (host:port). local, when non-nil, is the per-request fallback; nil
 // surfaces ErrCircuitOpen / node errors to the caller instead.
 func NewRemote(workers []string, local *Local, opts RemoteOptions) (*Remote, error) {
+	return newRemote(workers, local, opts, defaultBreaker)
+}
+
+// newRemote is NewRemote with an explicit breaker, so tests can open,
+// cool down and probe circuits on short timescales.
+func newRemote(workers []string, local *Local, opts RemoteOptions, brk breaker) (*Remote, error) {
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("backend: remote needs at least one worker address")
 	}
-	opts.applyDefaults()
 	r := &Remote{
 		workers: workers,
-		ring:    newRing(workers, opts.Replicas),
+		ring:    newRing(workers),
 		local:   local,
 		opts:    opts,
+		brk:     brk,
+		client:  &http.Client{},
 		now:     time.Now,
 		stop:    make(chan struct{}),
 		tel: remoteProbes{
@@ -258,7 +246,7 @@ func (r *Remote) Compute(ctx context.Context, key string, spec Spec) ([]byte, er
 		// cancellation: not the node's fault, no fallback.
 		return nil, err
 	}
-	if node.failure(r.now(), r.opts.FailThreshold, r.opts.Cooldown) {
+	if node.failure(r.now(), r.brk.failThreshold, r.brk.cooldown) {
 		r.tel.breakerOpen.Inc()
 	}
 	r.tel.nodeErrors.Inc()
@@ -293,7 +281,7 @@ func (r *Remote) call(ctx context.Context, node *nodeState, key string, spec Spe
 	}
 
 	start := r.now()
-	resp, err := r.opts.Client.Do(req)
+	resp, err := r.client.Do(req)
 	r.tel.remoteMS.Observe(uint64(r.now().Sub(start).Milliseconds()))
 	if err != nil {
 		if ctx.Err() != nil {
@@ -352,7 +340,7 @@ func errorMessage(payload []byte) string {
 // bounded by the probe interval rather than by traffic.
 func (r *Remote) healthLoop() {
 	defer r.probeWG.Done()
-	ticker := time.NewTicker(r.opts.HealthInterval)
+	ticker := time.NewTicker(r.brk.healthInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -365,10 +353,10 @@ func (r *Remote) healthLoop() {
 				continue
 			}
 			r.tel.breakerProbe.Inc()
-			ctx, cancel := context.WithTimeout(context.Background(), r.opts.HealthInterval)
+			ctx, cancel := context.WithTimeout(context.Background(), r.brk.healthInterval)
 			req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+node.addr+"/healthz", nil)
 			if err == nil {
-				if resp, err := r.opts.Client.Do(req); err == nil {
+				if resp, err := r.client.Do(req); err == nil {
 					resp.Body.Close()
 					if resp.StatusCode == http.StatusOK && node.reset() {
 						r.tel.breakerClose.Inc()

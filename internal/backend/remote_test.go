@@ -139,10 +139,10 @@ func TestRemoteCircuitOpensAfterThreshold(t *testing.T) {
 	})
 	defer closeW()
 	// No local fallback: failures surface, and an open circuit is 503.
-	r, err := NewRemote([]string{addr}, nil, RemoteOptions{
-		FailThreshold:  2,
-		Cooldown:       time.Hour,
-		HealthInterval: time.Hour, // keep the probe out of this test
+	r, err := newRemote([]string{addr}, nil, RemoteOptions{}, breaker{
+		failThreshold:  2,
+		cooldown:       time.Hour,
+		healthInterval: time.Hour, // keep the probe out of this test
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,10 +173,10 @@ func TestRemoteCircuitOpenFallsBackWhenLocalPresent(t *testing.T) {
 	defer closeW()
 	local, pool := localFallback(t)
 	defer pool.Close()
-	r, err := NewRemote([]string{addr}, local, RemoteOptions{
-		FailThreshold:  1,
-		Cooldown:       time.Hour,
-		HealthInterval: time.Hour,
+	r, err := newRemote([]string{addr}, local, RemoteOptions{}, breaker{
+		failThreshold:  1,
+		cooldown:       time.Hour,
+		healthInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -253,10 +253,10 @@ func TestRemoteHealthProbeClosesCircuit(t *testing.T) {
 		w.Write([]byte("ok\n"))
 	})
 	defer closeW()
-	r, err := NewRemote([]string{addr}, nil, RemoteOptions{
-		FailThreshold:  1,
-		Cooldown:       time.Hour, // only the probe can close it
-		HealthInterval: 10 * time.Millisecond,
+	r, err := newRemote([]string{addr}, nil, RemoteOptions{}, breaker{
+		failThreshold:  1,
+		cooldown:       time.Hour, // only the probe can close it
+		healthInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,12 +21,10 @@ type ringPoint struct {
 	node int
 }
 
-const defaultReplicas = 64
+// replicas is the virtual-point count per node.
+const replicas = 64
 
-func newRing(nodes []string, replicas int) *ring {
-	if replicas < 1 {
-		replicas = defaultReplicas
-	}
+func newRing(nodes []string) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(nodes)*replicas)}
 	for i, node := range nodes {
 		for v := 0; v < replicas; v++ {

@@ -7,8 +7,8 @@ import (
 
 func TestRingDeterministicAndCovering(t *testing.T) {
 	nodes := []string{"a:1", "b:1", "c:1"}
-	r1 := newRing(nodes, 64)
-	r2 := newRing(nodes, 64)
+	r1 := newRing(nodes)
+	r2 := newRing(nodes)
 	counts := make([]int, len(nodes))
 	for i := 0; i < 3000; i++ {
 		key := fmt.Sprintf("policy|m=R|e=%d|s=16|w=0", i)
@@ -28,8 +28,8 @@ func TestRingDeterministicAndCovering(t *testing.T) {
 }
 
 func TestRingRemovalRemapsMinority(t *testing.T) {
-	full := newRing([]string{"a:1", "b:1", "c:1", "d:1"}, 64)
-	reduced := newRing([]string{"a:1", "b:1", "c:1"}, 64)
+	full := newRing([]string{"a:1", "b:1", "c:1", "d:1"})
+	reduced := newRing([]string{"a:1", "b:1", "c:1"})
 	moved := 0
 	const n = 4000
 	for i := 0; i < n; i++ {
@@ -50,7 +50,7 @@ func TestRingRemovalRemapsMinority(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	if n := newRing(nil, 64).node("k"); n != -1 {
+	if n := newRing(nil).node("k"); n != -1 {
 		t.Fatalf("empty ring returned node %d", n)
 	}
 }

@@ -19,10 +19,9 @@ type Options struct {
 	// Completed holds journal records from a previous run, keyed by job
 	// key; matching jobs are reused instead of re-executed.
 	Completed map[string]Record
-	// Progress, when non-nil, receives periodic one-line status updates.
+	// Progress, when non-nil, receives a one-line status update every
+	// progressEvery.
 	Progress func(format string, args ...any)
-	// ProgressEvery is the status cadence; zero selects 5 s.
-	ProgressEvery time.Duration
 	// Telemetry, when non-nil, receives campaign-level probes (job
 	// outcomes, queue wait, wall time) under the "campaign" scope and is
 	// threaded into every job's sim.Config. When a Journal is also set,
@@ -37,6 +36,9 @@ type Options struct {
 	// serving layer with per-request deadlines wants the abort.
 	CancelInFlight bool
 }
+
+// progressEvery is the cadence of Options.Progress updates.
+const progressEvery = 5 * time.Second
 
 // campaignProbes is the scheduler's own instrumentation. All fields are
 // nil when Options.Telemetry is nil; the metric types no-op on nil.
@@ -96,11 +98,6 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 	if progress == nil {
 		progress = func(string, ...any) {}
 	}
-	every := opts.ProgressEvery
-	if every <= 0 {
-		every = 5 * time.Second
-	}
-
 	out := &Outcome{Records: make([]Record, len(jobs)), Parallel: parallel}
 	tel := newCampaignProbes(opts.Telemetry)
 	start := time.Now()
@@ -154,7 +151,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 		close(recCh)
 	}()
 
-	ticker := time.NewTicker(every)
+	ticker := time.NewTicker(progressEvery)
 	defer ticker.Stop()
 	started := out.Done
 	var journalErr error

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"readduo/internal/dist"
 	"readduo/internal/sim"
 	"readduo/internal/trace"
 )
@@ -45,15 +46,6 @@ func (j Job) Key() string {
 	return fmt.Sprintf("s%d/%s/%s", j.SeedIndex, j.Benchmark.Name, j.Scheme.Name())
 }
 
-// splitmix64 is the standard SplitMix64 mixer (same construction the
-// simulator uses for per-line randomness).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // JobSeed derives the deterministic per-job simulation seed from a campaign
 // replicate seed and the benchmark name. The scheme is deliberately absent:
 // all scheme columns of one benchmark row share an access stream, keeping
@@ -62,7 +54,7 @@ func splitmix64(x uint64) uint64 {
 func JobSeed(campaignSeed int64, benchmark string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(benchmark))
-	s := int64(splitmix64(uint64(campaignSeed)^h.Sum64()) &^ (1 << 63))
+	s := int64(dist.Splitmix64(uint64(campaignSeed)^h.Sum64()) &^ (1 << 63))
 	if s == 0 {
 		s = 1
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"readduo/internal/dist"
 	"readduo/internal/drift"
 	"readduo/internal/parallel"
 )
@@ -32,15 +33,6 @@ type popShard struct {
 	cells  []Cell
 	rng    *rand.Rand
 	offset int // global index of cells[0]
-}
-
-// splitmix64 is the standard SplitMix64 step, used to derive well-spread
-// per-shard RNG seeds from (seed, shard).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // NewShardedPopulation programs n cells to level at time 0, split into
@@ -76,7 +68,7 @@ func NewShardedPopulation(rcfg drift.Config, level, n int, seed int64, shards, w
 		}
 		sp.shards[i] = popShard{
 			cells:  make([]Cell, sz),
-			rng:    rand.New(rand.NewSource(int64(splitmix64(uint64(seed) + uint64(i))))),
+			rng:    rand.New(rand.NewSource(int64(dist.Splitmix64(uint64(seed) + uint64(i))))),
 			offset: offset,
 		}
 		offset += sz

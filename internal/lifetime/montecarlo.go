@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"readduo/internal/dist"
 	"readduo/internal/parallel"
 )
 
@@ -71,13 +72,6 @@ type MCResult struct {
 	MeanSeconds float64
 }
 
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // SimulateMC samples the population and returns the failure-time summary.
 func SimulateMC(cfg MCConfig) (MCResult, error) {
 	return SimulateMCContext(context.Background(), cfg)
@@ -118,7 +112,7 @@ func SimulateMCContext(ctx context.Context, cfg MCConfig) (MCResult, error) {
 	}
 	const cancelStride = 1 << 12
 	parallel.ForEach(cfg.Workers, cfg.Shards, func(i int) {
-		rng := rand.New(rand.NewSource(int64(splitmix64(uint64(cfg.Seed) + uint64(i)))))
+		rng := rand.New(rand.NewSource(int64(dist.Splitmix64(uint64(cfg.Seed) + uint64(i)))))
 		for c := offsets[i]; c < offsets[i+1]; c++ {
 			if (c-offsets[i])%cancelStride == 0 && aborted.Load() {
 				return

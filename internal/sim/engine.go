@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"readduo/internal/cpu"
+	"readduo/internal/dist"
 	"readduo/internal/drift"
 	"readduo/internal/energy"
 	"readduo/internal/lwt"
@@ -107,10 +108,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Engine is one running simulation. Policies receive it on every
-// dispatch: the exported type is the extension surface that lets new
-// SensePolicy/WritePolicy implementations reach engine state without
-// engine edits.
+// Engine is one running simulation of one Scheme: Read, Write and OnScrub
+// switch on the scheme's Design.
 type Engine struct {
 	cfg    Config
 	scheme Scheme
@@ -120,11 +119,8 @@ type Engine struct {
 	acct    *energy.Accounting
 	rng     *rand.Rand
 
-	// Scrub plan, cached from the scheme's ScrubPolicy at startup.
-	scrubMetric drift.Metric
-	scrubW      int
 	// recordScrubRewrites notes scrub rewrites in lastWrite even for
-	// untouched lines (tracking designs and Hybrid's age math need it).
+	// untouched lines (Design.recordsScrubRewrites).
 	recordScrubRewrites bool
 
 	// Line state: physical line -> last full write time (ps, possibly
@@ -139,8 +135,8 @@ type Engine struct {
 	scrubIntervalPS int64
 	scrubPerLinePS  int64
 	linesPerBank    uint64
-	// lineCells is the physical line size after any LineGeometry override —
-	// what a scrub rewrite programs.
+	// lineCells is the design's physical line size — what a scrub rewrite
+	// programs.
 	lineCells int
 
 	// Read-disturb channel (Environment.Disturb). readCounts is nil when
@@ -248,22 +244,13 @@ func newEngine(cfg Config, scheme Scheme) (*Engine, error) {
 		tel:       newEngineProbes(cfg.Telemetry),
 	}
 
-	// Scheme-specific memory configuration, derived from the policy axes.
+	// Scheme-specific memory configuration, derived from the design.
 	memCfg := cfg.Mem
 	interval, metric, w := scheme.Scrub.Plan()
 	memCfg.ScrubInterval = interval
-	if lg, ok := scheme.Write.(LineGeometry); ok {
-		memCfg.CellsPerLine = lg.LineCells(cfg)
-	}
+	memCfg.CellsPerLine = scheme.lineCells(cfg)
 	e.lineCells = memCfg.CellsPerLine
-	e.scrubMetric, e.scrubW = metric, w
-	e.recordScrubRewrites = scheme.Write.Tracking()
-	if sr, ok := scheme.Sense.(ScrubRewriteRecorder); ok && sr.RecordsScrubRewrites() {
-		e.recordScrubRewrites = true
-	}
-	if sr, ok := scheme.Write.(ScrubRewriteRecorder); ok && sr.RecordsScrubRewrites() {
-		e.recordScrubRewrites = true
-	}
+	e.recordScrubRewrites = scheme.recordsScrubRewrites()
 	if scheme.Env.Disturb > 0 {
 		e.disturb = drift.DisturbChannel{PerRead: scheme.Env.Disturb}
 		e.readCounts = linetable.New(0)
@@ -314,7 +301,7 @@ func newEngine(cfg Config, scheme Scheme) (*Engine, error) {
 		e.steadyRewrite = frac
 	}
 
-	if cu, ok := scheme.Sense.(ConverterUser); ok && cu.UsesConverter() {
+	if scheme.usesConverter() {
 		conv, err := lwt.NewConverter()
 		if err != nil {
 			return nil, err
@@ -422,7 +409,7 @@ func (e *Engine) mark(now int64) {
 
 // physLine maps a trace line address onto the physical line space.
 func (e *Engine) physLine(traceLine uint64) uint64 {
-	return splitmix64(traceLine^uint64(e.cfg.Seed)) % e.cfg.Mem.TotalLines
+	return dist.Splitmix64(traceLine^uint64(e.cfg.Seed)) % e.cfg.Mem.TotalLines
 }
 
 // scrubPhase returns when the walker visits this line within each interval
@@ -477,11 +464,11 @@ func (e *Engine) ageSeconds(now, lastWrite int64) float64 {
 	return float64(now-lastWrite) / 1e12
 }
 
-// Read implements cpu.MemPort: the scheme's sense policy decides which
+// Read implements cpu.MemPort: the design's sense mode decides which
 // readout services the access.
 func (e *Engine) Read(now int64, core int, line uint64) (uint64, error) {
 	phys := e.physLine(line)
-	mode := e.scheme.Sense.ReadMode(e, now, phys)
+	mode := e.readMode(now, phys)
 	switch mode {
 	case sense.ModeM:
 		e.tel.readM.Inc()
@@ -517,11 +504,11 @@ func (e *Engine) epochTick() {
 	e.epochReads, e.epochUntracked, e.epochConversions, e.epochRehits = 0, 0, 0, 0
 }
 
-// Write implements cpu.MemPort: the scheme's write policy decides the
+// Write implements cpu.MemPort: the design's write mode decides the
 // programming mode, the engine handles queueing and bookkeeping.
 func (e *Engine) Write(now int64, core int, line uint64) (bool, error) {
 	phys := e.physLine(line)
-	cells, full := e.scheme.Write.PlanWrite(e, now, phys)
+	cells, full := e.planWrite(now, phys)
 	if !e.ctrl.EnqueueWrite(now, phys, cells) {
 		e.tel.writeBlocked.Inc()
 		return false, nil
@@ -535,8 +522,8 @@ func (e *Engine) Write(now int64, core int, line uint64) (bool, error) {
 		// age math see correct drift clocks.
 		e.lastWrite.Put(phys, now)
 		e.noteDisturbRewrite(phys)
-		if e.scheme.Write.Tracking() {
-			e.acct.AddFlagAccess(e.scheme.Write.FlagBits())
+		if e.scheme.tracking() {
+			e.acct.AddFlagAccess(e.scheme.flagBits())
 		}
 	} else {
 		e.stats.diffWrites++
@@ -548,28 +535,29 @@ func (e *Engine) Write(now int64, core int, line uint64) (bool, error) {
 }
 
 // OnScrub implements memctrl.ScrubHook: the per-visit scan and W-policy
-// decision, driven by the scrub plan cached at startup.
+// decision, driven by the design's scrub plan.
 func (e *Engine) OnScrub(now int64, phys uint64) memctrl.ScrubAction {
 	if e.scrubIntervalPS == 0 {
 		return memctrl.ScrubAction{}
 	}
 	e.tel.scrubScan.Inc()
 	act := memctrl.ScrubAction{CellsWritten: e.lineCells}
-	if e.scrubMetric == drift.MetricM {
+	plan := e.scheme.Scrub
+	if plan.Metric == drift.MetricM {
 		act.ReadLatency = e.cfg.Mem.Timing.MRead
 		act.Voltage = true
 	} else {
 		act.ReadLatency = e.cfg.Mem.Timing.RRead
 	}
 	switch {
-	case e.scrubW == 0:
+	case plan.W == 0:
 		act.Rewrite = true
 	default:
 		// W=1: rewrite iff the scan finds >= 1 drifted cell.
 		var p float64
 		if last, ok := e.lastWrite.Get(phys); ok {
 			age := e.ageSeconds(now, last)
-			if e.scrubMetric == drift.MetricM {
+			if plan.Metric == drift.MetricM {
 				p = e.mProbs.AnyError(age)
 			} else {
 				p = e.rProbs.AnyError(age)

@@ -12,10 +12,10 @@ import (
 )
 
 // Environment is a design point's operating environment — the fourth,
-// orthogonal axis next to the Sense/Scrub/Write policies. The zero value
-// is the paper's operating point (300 K ambient, no read disturb) and is
-// what every registered constructor produces, so schemes at the default
-// environment stay bit-identical to the seed.
+// orthogonal axis next to the sense mode, scrub plan and write mode. The
+// zero value is the paper's operating point (300 K ambient, no read
+// disturb) and is what every registered constructor produces, so schemes
+// at the default environment stay bit-identical to the seed.
 //
 // Every registered family accepts the environment keys in its spec
 // parameters ("scrubbing:temp=250", "lwt:k=4,disturb=1e-06") and as
@@ -186,8 +186,8 @@ func (s Scheme) AtEnv(env Environment) (Scheme, error) {
 	return out, nil
 }
 
-// Engine-side read-disturb channel. The channel is engine-central — sense,
-// scrub, and write policies stay disturb-oblivious — and entirely gated on
+// Engine-side read-disturb channel. The channel is engine-central — the
+// sense, scrub and write arms stay disturb-oblivious — and entirely gated on
 // Environment.Disturb, so default-environment runs never touch it.
 
 // disturbDetect is the detection threshold of the standard BCH-8 line

@@ -7,7 +7,9 @@
 // growth machinery) that this fixed-shape workload never uses.
 //
 // Layout: two parallel power-of-two slices, keys and values, probed
-// linearly from a splitmix64 hash of the key. Parallel flat storage
+// linearly from a dist.Splitmix64 hash of the key — the mixer the engine
+// uses for line placement, avalanche-complete, so adversarial clustering
+// of line addresses cannot degrade the probe sequence. Parallel flat storage
 // keeps the probe sequence inside one cache line for the common
 // cluster lengths, and the value array is only touched on a hit. The
 // zero key (a valid line address) is stored out of line in a dedicated
@@ -19,6 +21,8 @@
 // deterministic: iteration order is never exposed, so replacing the Go
 // map with this table is bit-identical for fixed seeds.
 package linetable
+
+import "readduo/internal/dist"
 
 // Table maps uint64 keys to int64 values. The zero Table is NOT ready
 // for use; call New.
@@ -55,16 +59,6 @@ func (t *Table) init(size int) {
 	t.n = 0
 }
 
-// hash is the SplitMix64 finalizer — the same mixer the engine uses for
-// line placement, full-period and avalanche-complete, so adversarial
-// clustering of line addresses cannot degrade the probe sequence.
-func hash(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Len returns the number of stored entries.
 func (t *Table) Len() int {
 	if t.zeroSet {
@@ -78,7 +72,7 @@ func (t *Table) Get(key uint64) (int64, bool) {
 	if key == 0 {
 		return t.zeroVal, t.zeroSet
 	}
-	i := hash(key) & t.mask
+	i := dist.Splitmix64(key) & t.mask
 	for {
 		k := t.keys[i]
 		if k == key {
@@ -97,7 +91,7 @@ func (t *Table) Put(key uint64, value int64) {
 		t.zeroSet, t.zeroVal = true, value
 		return
 	}
-	i := hash(key) & t.mask
+	i := dist.Splitmix64(key) & t.mask
 	for {
 		k := t.keys[i]
 		if k == key {
@@ -125,7 +119,7 @@ func (t *Table) grow() {
 		if k == 0 {
 			continue
 		}
-		j := hash(k) & t.mask
+		j := dist.Splitmix64(k) & t.mask
 		for t.keys[j] != 0 {
 			j = (j + 1) & t.mask
 		}

@@ -52,8 +52,8 @@ func Parse(spec string) (Scheme, error) {
 		}
 		return sch, nil
 	}
-	build := func(f *SchemeFamily, params map[string]string) (Scheme, error) {
-		sch, err := f.Build(params)
+	build := func(f *schemeFamily, params map[string]string) (Scheme, error) {
+		sch, err := f.build(params)
 		if err != nil {
 			return Scheme{}, err
 		}
@@ -80,10 +80,10 @@ func Parse(spec string) (Scheme, error) {
 		}
 	}
 	for _, f := range families {
-		if f.BuildLabel == nil {
+		if f.buildLabel == nil {
 			continue
 		}
-		sch, ok, err := f.BuildLabel(lower)
+		sch, ok, err := f.buildLabel(lower)
 		if err != nil {
 			return Scheme{}, err
 		}

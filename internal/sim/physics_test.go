@@ -146,15 +146,15 @@ func TestLWCPlanMatchesClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pol := LWCWrite(r).(lwcWrite)
+		lineCells := LWC(r).lineCells(cfg)
 		const phys = 42
-		cells, full := pol.PlanWrite(e, 0, phys)
-		if !full || cells != pol.LineCells(cfg) {
+		cells, full := e.planWrite(0, phys)
+		if !full || cells != lineCells {
 			t.Errorf("r=%d: first touch planned (%d, %v), want full %d cells",
-				r, cells, full, pol.LineCells(cfg))
+				r, cells, full, lineCells)
 		}
 		e.lastWrite.Put(phys, 0)
-		cells, full = pol.PlanWrite(e, 1, phys)
+		cells, full = e.planWrite(1, phys)
 		dataCells := cfg.Mem.CellsPerLine - cfg.ParityCells
 		want, err := lwc.ExpectedUpdateCost(dataCells, r, cfg.DiffDataCellFraction)
 		if err != nil {
@@ -164,9 +164,9 @@ func TestLWCPlanMatchesClosedForm(t *testing.T) {
 			t.Errorf("r=%d: local rewrite planned (%d, %v), want (%d, false)",
 				r, cells, full, int(want))
 		}
-		if cells >= pol.LineCells(cfg) {
+		if cells >= lineCells {
 			t.Errorf("r=%d: local rewrite %d cells is no cheaper than the %d-cell line",
-				r, cells, pol.LineCells(cfg))
+				r, cells, lineCells)
 		}
 	}
 }
@@ -188,7 +188,7 @@ func TestLWCRunWearLedger(t *testing.T) {
 	}
 	b, _ := trace.ByName("gcc")
 	cfg := DefaultConfig(b)
-	lineCells := LWCWrite(16).(lwcWrite).LineCells(cfg)
+	lineCells := LWC(16).lineCells(cfg)
 	dataCells := cfg.Mem.CellsPerLine - cfg.ParityCells
 	localCost, err := lwc.ExpectedUpdateCost(dataCells, 16, cfg.DiffDataCellFraction)
 	if err != nil {

@@ -230,13 +230,3 @@ func (t ProbTable) Retry(ageSeconds float64) float64 { return t.pc.Retry(ageSeco
 
 // Silent returns the undetectable-error probability at the given age.
 func (t ProbTable) Silent(ageSeconds float64) float64 { return t.pc.Silent(ageSeconds) }
-
-// splitmix64 is the standard SplitMix64 mixer, used to derive deterministic
-// per-line randomness (physical placement, scrub phase, age sampling seeds)
-// from line addresses.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}

@@ -204,17 +204,3 @@ func TestProbCacheInterpolation(t *testing.T) {
 		t.Errorf("interpolation discontinuous near grid midpoint: %v vs %v", lo, hi)
 	}
 }
-
-func TestSplitmix64Distinct(t *testing.T) {
-	seen := map[uint64]bool{}
-	for i := uint64(0); i < 10000; i++ {
-		v := splitmix64(i)
-		if seen[v] {
-			t.Fatalf("collision at %d", i)
-		}
-		seen[v] = true
-	}
-	if splitmix64(42) != splitmix64(42) {
-		t.Error("splitmix64 not deterministic")
-	}
-}

@@ -11,12 +11,12 @@ import (
 // the 2% overhead budget.
 //
 // Probe placement: demand-read sense modes are counted at the engine's
-// Read dispatch; sense-policy internals (Hybrid's drift-triggered
+// Read dispatch; sense-mode internals (Hybrid's drift-triggered
 // retries, tracked designs' untracked reads and conversions) count at
-// their decision sites in policy_sense.go; write splitting counts in
-// the engine's Write with the per-write cell histogram; scrub scans
-// and rewrites count in OnScrub (scrub *policies* are pure plans — see
-// policy_scrub.go — so the per-visit events live here on the engine).
+// their decision sites in design.go; write splitting counts in the
+// engine's Write with the per-write cell histogram; scrub scans and
+// rewrites count in OnScrub (a design's Scrub is a pure plan, so the
+// per-visit events live here on the engine).
 type engineProbes struct {
 	// Demand reads by service mode.
 	readR, readM, readRM *telemetry.Counter
@@ -33,7 +33,7 @@ type engineProbes struct {
 	// Per-demand-write programmed cells (size histogram).
 	writeCells *telemetry.Histogram
 	// Sub-interval distance between a demand write and the line's last
-	// full write, observed by Select-(k:s) (policy_write.go); the mass
+	// full write, observed by Select-(k:s) (design.go); the mass
 	// below s is exactly the differential-write opportunity.
 	selectDistance *telemetry.Histogram
 	// Scrub plan, published once at startup (ms interval and the W

@@ -7,41 +7,36 @@ import (
 	"strings"
 )
 
-// SchemeFamily is one registrable scheme family: a factory plus the names
-// and grammar Parse resolves to it. Families registered here are nameable
-// from every CLI -schemes flag, campaign journal, and the facade without
-// engine changes.
-type SchemeFamily struct {
-	// Key is the canonical lowercase family key ("lwt").
-	Key string
-	// Aliases are extra lowercase names resolving to this family
+// schemeFamily is one scheme family of the registry: a factory plus the
+// names and grammar Parse resolves to it. Every family is nameable from
+// every CLI -schemes flag, campaign journal, and the facade.
+type schemeFamily struct {
+	// key is the canonical lowercase family key ("lwt").
+	key string
+	// aliases are extra lowercase names resolving to this family
 	// ("m-metric" also answers to "mmetric").
-	Aliases []string
-	// Grammar is the one-line usage quoted by parse errors.
-	Grammar string
-	// Build constructs the scheme from spec parameters; params is nil for
+	aliases []string
+	// grammar is the one-line usage quoted by parse errors.
+	grammar string
+	// build constructs the scheme from spec parameters; params is nil for
 	// the bare-name form ("ideal").
-	Build func(params map[string]string) (Scheme, error)
-	// BuildLabel, when non-nil, parses the family's paper-style label
+	build func(params map[string]string) (Scheme, error)
+	// buildLabel, when non-nil, parses the family's paper-style label
 	// ("lwt-8-noconv", lowercased). ok=false means the label belongs to
 	// another family.
-	BuildLabel func(label string) (s Scheme, ok bool, err error)
+	buildLabel func(label string) (s Scheme, ok bool, err error)
 }
 
 var (
-	families     []*SchemeFamily
-	familyByName = map[string]*SchemeFamily{}
+	families     []*schemeFamily
+	familyByName = map[string]*schemeFamily{}
 )
 
-// RegisterScheme adds a family to the registry. It panics on a duplicate
-// key or alias — registration is an init-time, programmer-error surface.
-func RegisterScheme(f SchemeFamily) {
-	if f.Key == "" || f.Build == nil {
-		panic("sim: RegisterScheme needs a key and a build function")
-	}
+// registerScheme adds a family to the registry. It panics on a duplicate
+// key or alias, a programming error caught at init.
+func registerScheme(f schemeFamily) {
 	fam := &f
-	for _, name := range append([]string{f.Key}, f.Aliases...) {
-		name = strings.ToLower(name)
+	for _, name := range append([]string{f.key}, f.aliases...) {
 		if _, dup := familyByName[name]; dup {
 			panic(fmt.Sprintf("sim: scheme family name %q registered twice", name))
 		}
@@ -55,21 +50,19 @@ func RegisterScheme(f SchemeFamily) {
 func SchemeGrammars() []string {
 	out := make([]string, 0, len(families))
 	for _, f := range families {
-		if f.Grammar != "" {
-			out = append(out, f.Grammar)
-		}
+		out = append(out, f.grammar)
 	}
 	sort.Strings(out)
 	return out
 }
 
 // fixedFamily registers a parameterless design under its paper name.
-func fixedFamily(key string, build func() Scheme, aliases ...string) SchemeFamily {
-	return SchemeFamily{
-		Key:     key,
-		Aliases: aliases,
-		Grammar: key,
-		Build: func(params map[string]string) (Scheme, error) {
+func fixedFamily(key string, build func() Scheme, aliases ...string) schemeFamily {
+	return schemeFamily{
+		key:     key,
+		aliases: aliases,
+		grammar: key,
+		build: func(params map[string]string) (Scheme, error) {
 			if len(params) > 0 {
 				return Scheme{}, fmt.Errorf("sim: scheme %q takes no parameters", key)
 			}
@@ -79,16 +72,16 @@ func fixedFamily(key string, build func() Scheme, aliases ...string) SchemeFamil
 }
 
 func init() {
-	RegisterScheme(fixedFamily("ideal", Ideal))
-	RegisterScheme(fixedFamily("scrubbing", Scrubbing))
-	RegisterScheme(fixedFamily("m-metric", MMetric, "mmetric"))
-	RegisterScheme(fixedFamily("tlc", TLC))
-	RegisterScheme(fixedFamily("hybrid", Hybrid))
+	registerScheme(fixedFamily("ideal", Ideal))
+	registerScheme(fixedFamily("scrubbing", Scrubbing))
+	registerScheme(fixedFamily("m-metric", MMetric, "mmetric"))
+	registerScheme(fixedFamily("tlc", TLC))
+	registerScheme(fixedFamily("hybrid", Hybrid))
 
-	RegisterScheme(SchemeFamily{
-		Key:     "lwt",
-		Grammar: "lwt:k=<2..32>[,convert=<bool>]  (label: LWT-<k>[-noconv])",
-		Build: func(params map[string]string) (Scheme, error) {
+	registerScheme(schemeFamily{
+		key:     "lwt",
+		grammar: "lwt:k=<2..32>[,convert=<bool>]  (label: LWT-<k>[-noconv])",
+		build: func(params map[string]string) (Scheme, error) {
 			k, err := intParam(params, "k", true, 0)
 			if err != nil {
 				return Scheme{}, err
@@ -102,7 +95,7 @@ func init() {
 			}
 			return LWT(k, convert), nil
 		},
-		BuildLabel: func(label string) (Scheme, bool, error) {
+		buildLabel: func(label string) (Scheme, bool, error) {
 			rest, ok := strings.CutPrefix(label, "lwt-")
 			if !ok {
 				return Scheme{}, false, nil
@@ -119,10 +112,10 @@ func init() {
 		},
 	})
 
-	RegisterScheme(SchemeFamily{
-		Key:     "lwc",
-		Grammar: "lwc:r=<2..64>  (label: LWC-<r>)",
-		Build: func(params map[string]string) (Scheme, error) {
+	registerScheme(schemeFamily{
+		key:     "lwc",
+		grammar: "lwc:r=<2..64>  (label: LWC-<r>)",
+		build: func(params map[string]string) (Scheme, error) {
 			r, err := intParam(params, "r", true, 0)
 			if err != nil {
 				return Scheme{}, err
@@ -132,7 +125,7 @@ func init() {
 			}
 			return LWC(r), nil
 		},
-		BuildLabel: func(label string) (Scheme, bool, error) {
+		buildLabel: func(label string) (Scheme, bool, error) {
 			rest, ok := strings.CutPrefix(label, "lwc-")
 			if !ok {
 				return Scheme{}, false, nil
@@ -145,10 +138,10 @@ func init() {
 		},
 	})
 
-	RegisterScheme(SchemeFamily{
-		Key:     "select",
-		Grammar: "select:k=<2..32>,s=<1..k>  (label: Select-<k>:<s>)",
-		Build: func(params map[string]string) (Scheme, error) {
+	registerScheme(schemeFamily{
+		key:     "select",
+		grammar: "select:k=<2..32>,s=<1..k>  (label: Select-<k>:<s>)",
+		build: func(params map[string]string) (Scheme, error) {
 			k, err := intParam(params, "k", true, 0)
 			if err != nil {
 				return Scheme{}, err
@@ -162,7 +155,7 @@ func init() {
 			}
 			return Select(k, s), nil
 		},
-		BuildLabel: func(label string) (Scheme, bool, error) {
+		buildLabel: func(label string) (Scheme, bool, error) {
 			rest, ok := strings.CutPrefix(label, "select-")
 			if !ok {
 				return Scheme{}, false, nil

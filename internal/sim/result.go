@@ -3,7 +3,6 @@ package sim
 import (
 	"time"
 
-	"readduo/internal/area"
 	"readduo/internal/energy"
 	"readduo/internal/memctrl"
 	"readduo/internal/sense"
@@ -65,16 +64,6 @@ func (e *Engine) result() *Result {
 	run := e.stats.sub(e.markRun)
 	instr := e.cluster.TotalRetired() - e.markInstr
 
-	var footprint area.LineFootprint
-	if fpol, ok := e.scheme.Write.(FootprintPolicy); ok {
-		footprint = fpol.Footprint(e.cfg, e.scheme.FlagBits())
-	} else {
-		fp, err := area.MLCFootprint(2*e.cfg.ParityCells, e.scheme.FlagBits())
-		if err == nil {
-			footprint = fp
-		}
-	}
-
 	r := &Result{
 		Scheme:             e.scheme.Name(),
 		Benchmark:          e.cfg.Bench.Name,
@@ -93,7 +82,7 @@ func (e *Engine) result() *Result {
 		DiffWrites:         run.diffWrites,
 		Energy:             e.acct.Dynamic().Sub(e.markEnergy),
 		CellWrites:         e.acct.WriteCellCount() - e.markCellWr,
-		AreaCellsPerLine:   footprint.EquivalentCells(),
+		AreaCellsPerLine:   e.scheme.footprint(e.cfg).EquivalentCells(),
 	}
 	// System energy = measured dynamic window + static power over it.
 	r.SystemEnergyPJ = r.Energy.Total() +

@@ -12,11 +12,11 @@
 // the proven equivalence between the LWT flag automaton and sub-interval
 // index arithmetic (package lwt).
 //
-// Design points are composed, not enumerated: a Scheme is a named Design —
-// one SensePolicy, one ScrubPolicy, one WritePolicy — and the engine
-// dispatches through those interfaces. The paper's seven schemes are
-// registry-backed constructors below; arbitrary design points come from
-// Parse ("lwt:k=8", "Select-4:2") or Compose.
+// A design point is one closed value: a Scheme is a named Design — a
+// sense mode, a scrub plan, a write mode, the parameters they take and the
+// operating environment — and the engine switches on it. The paper's seven
+// schemes are registry-backed constructors below; other design points come
+// from Parse ("lwt:k=8", "Select-4:2") or Compose.
 package sim
 
 import (
@@ -24,7 +24,8 @@ import (
 	"time"
 
 	"readduo/internal/drift"
-	"readduo/internal/reliability"
+	"readduo/internal/lwc"
+	"readduo/internal/lwt"
 )
 
 // Scheme is one named design point: a Design plus its canonical paper
@@ -44,7 +45,7 @@ type Scheme struct {
 // Ideal returns the drift-free reference: R-reads, no scrubbing.
 func Ideal() Scheme {
 	return Scheme{name: "Ideal", spec: "ideal",
-		Design: Design{Sense: RSense(), Scrub: NoScrub(), Write: PlainWrite()}}
+		Design: Design{Sense: SenseR, Write: WritePlain}}
 }
 
 // Scrubbing returns the R-sensing efficient-scrubbing baseline,
@@ -52,9 +53,9 @@ func Ideal() Scheme {
 func Scrubbing() Scheme {
 	return Scheme{name: "Scrubbing", spec: "scrubbing",
 		Design: Design{
-			Sense: RSense(),
-			Scrub: IntervalScrub(8*time.Second, drift.MetricR, 1),
-			Write: PlainWrite(),
+			Sense: SenseR,
+			Scrub: Scrub{Interval: 8 * time.Second, Metric: drift.MetricR, W: 1},
+			Write: WritePlain,
 		}}
 }
 
@@ -62,9 +63,9 @@ func Scrubbing() Scheme {
 func MMetric() Scheme {
 	return Scheme{name: "M-metric", spec: "m-metric",
 		Design: Design{
-			Sense: MSense(),
-			Scrub: IntervalScrub(640*time.Second, drift.MetricM, 1),
-			Write: PlainWrite(),
+			Sense: SenseM,
+			Scrub: Scrub{Interval: 640 * time.Second, Metric: drift.MetricM, W: 1},
+			Write: WritePlain,
 		}}
 }
 
@@ -72,7 +73,7 @@ func MMetric() Scheme {
 // lower density.
 func TLC() Scheme {
 	return Scheme{name: "TLC", spec: "tlc",
-		Design: Design{Sense: RSense(), Scrub: NoScrub(), Write: TLCWrite()}}
+		Design: Design{Sense: SenseR, Write: WriteTLC}}
 }
 
 // Hybrid returns ReadDuo-Hybrid: R-first reads with M retry,
@@ -80,9 +81,9 @@ func TLC() Scheme {
 func Hybrid() Scheme {
 	return Scheme{name: "Hybrid", spec: "hybrid",
 		Design: Design{
-			Sense: HybridSense(),
-			Scrub: IntervalScrub(640*time.Second, drift.MetricM, 0),
-			Write: PlainWrite(),
+			Sense: SenseHybrid,
+			Scrub: Scrub{Interval: 640 * time.Second, Metric: drift.MetricM, W: 0},
+			Write: WritePlain,
 		}}
 }
 
@@ -97,9 +98,11 @@ func LWT(k int, convert bool) Scheme {
 	}
 	return Scheme{name: name, spec: spec,
 		Design: Design{
-			Sense: TrackedSense(k, convert),
-			Scrub: IntervalScrub(640*time.Second, drift.MetricM, 1),
-			Write: TrackedWrite(k),
+			Sense:   SenseTracked,
+			Scrub:   Scrub{Interval: 640 * time.Second, Metric: drift.MetricM, W: 1},
+			Write:   WriteTracked,
+			K:       k,
+			Convert: convert,
 		}}
 }
 
@@ -111,9 +114,10 @@ func LWT(k int, convert bool) Scheme {
 func LWC(r int) Scheme {
 	return Scheme{name: fmt.Sprintf("LWC-%d", r), spec: fmt.Sprintf("lwc:r=%d", r),
 		Design: Design{
-			Sense: RSense(),
-			Scrub: IntervalScrub(8*time.Second, drift.MetricR, 1),
-			Write: LWCWrite(r),
+			Sense: SenseR,
+			Scrub: Scrub{Interval: 8 * time.Second, Metric: drift.MetricR, W: 1},
+			Write: WriteLWC,
+			R:     r,
 		}}
 }
 
@@ -124,13 +128,16 @@ func Select(k, s int) Scheme {
 		name: fmt.Sprintf("Select-%d:%d", k, s),
 		spec: fmt.Sprintf("select:k=%d,s=%d", k, s),
 		Design: Design{
-			Sense: TrackedSense(k, true),
-			Scrub: IntervalScrub(640*time.Second, drift.MetricM, 1),
-			Write: SelectWrite(k, s),
+			Sense:   SenseTracked,
+			Scrub:   Scrub{Interval: 640 * time.Second, Metric: drift.MetricM, W: 1},
+			Write:   WriteSelect,
+			K:       k,
+			S:       s,
+			Convert: true,
 		}}
 }
 
-// Compose builds a scheme from explicit policies under the given label.
+// Compose builds a scheme from an explicit Design under the given label.
 // The label serves as both Name and Spec; unless it matches a registered
 // family's grammar, Parse will not reconstruct the scheme from it.
 func Compose(label string, d Design) Scheme {
@@ -144,49 +151,42 @@ func (s Scheme) Name() string { return s.name }
 // scheme for every registered design.
 func (s Scheme) Spec() string { return s.spec }
 
-// Validate checks the scheme's policies and their cross-axis consistency.
+// Validate checks the scheme's modes, the parameters they take, the scrub
+// plan and the environment. A parameter that no chosen mode reads is an
+// error rather than ignored, so two schemes that run alike compare equal.
 func (s Scheme) Validate() error {
-	if s.Sense == nil || s.Scrub == nil || s.Write == nil {
-		return fmt.Errorf("sim: scheme %q missing a policy axis (use the sim constructors, Parse, or Compose)", s.name)
+	if s.Sense < SenseR || s.Sense > SenseTracked || s.Write < WritePlain || s.Write > WriteLWC {
+		return fmt.Errorf("sim: scheme %q has no valid sense or write mode (use the sim constructors, Parse, or Compose)", s.name)
 	}
-	for _, p := range []any{s.Sense, s.Scrub, s.Write} {
-		if v, ok := p.(validator); ok {
-			if err := v.Validate(); err != nil {
-				return err
-			}
+	usesK := s.Sense == SenseTracked || s.tracking()
+	switch {
+	case usesK && (s.K < 2 || s.K > lwt.MaxK):
+		return fmt.Errorf("sim: LWT k=%d out of range 2..%d", s.K, lwt.MaxK)
+	case s.Write == WriteSelect && (s.S < 1 || s.S > s.K):
+		return fmt.Errorf("sim: Select s=%d out of range 1..%d", s.S, s.K)
+	case s.Write == WriteLWC && (s.R < 2 || s.R > lwc.MaxR):
+		return fmt.Errorf("sim: LWC r=%d out of range 2..%d", s.R, lwc.MaxR)
+	case !usesK && s.K != 0, s.Write != WriteSelect && s.S != 0,
+		s.Write != WriteLWC && s.R != 0, s.Sense != SenseTracked && s.Convert:
+		return fmt.Errorf("sim: scheme %q sets a parameter its modes do not use (k=%d, s=%d, r=%d, convert=%v)",
+			s.name, s.K, s.S, s.R, s.Convert)
+	}
+	if p := s.Scrub; p != (Scrub{}) {
+		if p.Interval <= 0 {
+			return fmt.Errorf("sim: scrub interval %v must be positive", p.Interval)
+		}
+		if p.Metric != drift.MetricR && p.Metric != drift.MetricM {
+			return fmt.Errorf("sim: unknown scrub metric %d", p.Metric)
+		}
+		if p.W < 0 || p.W > 1 {
+			return fmt.Errorf("sim: scrub threshold W=%d outside {0,1}", p.W)
 		}
 	}
 	if err := s.Env.Validate(); err != nil {
 		return fmt.Errorf("sim: scheme %q: %w", s.name, err)
 	}
-	// A design whose sense and write axes disagree on the sub-interval
-	// count would read flags the writes never maintain.
-	sk, senseTracked := s.Sense.(subIntervaled)
-	wk, writeTracked := s.Write.(subIntervaled)
-	if senseTracked && writeTracked && sk.SubIntervals() != wk.SubIntervals() {
-		return fmt.Errorf("sim: scheme %q tracks k=%d on the read path but k=%d on the write path",
-			s.name, sk.SubIntervals(), wk.SubIntervals())
-	}
 	return nil
 }
 
 // FlagBits returns the per-line SLC tracking cost.
-func (s Scheme) FlagBits() int {
-	if s.Write == nil {
-		return 0
-	}
-	return s.Write.FlagBits()
-}
-
-// ReliabilityPolicy returns the scheme's (E,S,W) policy for the analytical
-// tables; ok=false for schemes without scrubbing.
-func (s Scheme) ReliabilityPolicy() (reliability.Policy, bool) {
-	if s.Scrub == nil {
-		return reliability.Policy{}, false
-	}
-	interval, _, w := s.Scrub.Plan()
-	if interval == 0 {
-		return reliability.Policy{}, false
-	}
-	return reliability.Policy{E: 8, S: interval.Seconds(), W: w}, true
-}
+func (s Scheme) FlagBits() int { return s.flagBits() }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"readduo/internal/drift"
 	"readduo/internal/trace"
 )
 
@@ -41,8 +42,10 @@ func TestSchemeValidation(t *testing.T) {
 		LWT(1, true),
 		Select(4, 0),
 		Select(4, 5),
-		{}, // zero value: no policies
-		Compose("mismatched-k", Design{Sense: TrackedSense(4, true), Scrub: NoScrub(), Write: TrackedWrite(8)}),
+		{}, // zero value: no modes
+		Compose("stray-k", Design{Sense: SenseR, Write: WritePlain, K: 4}),
+		Compose("w2", Design{Sense: SenseR, Write: WritePlain,
+			Scrub: Scrub{Interval: time.Second, Metric: drift.MetricR, W: 2}}),
 	}
 	for _, s := range invalid {
 		if err := s.Validate(); err == nil {
