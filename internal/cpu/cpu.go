@@ -7,6 +7,8 @@ package cpu
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"readduo/internal/trace"
 )
@@ -71,7 +73,7 @@ func (c Config) Validate() error {
 type coreState int
 
 const (
-	coreRunning     coreState = iota + 1 // will issue its pending access at readyAt
+	coreRunning     coreState = iota + 1 // will issue its pending access at runAt
 	coreWaitingRead                      // MLP window full: waiting for any completion
 	coreStalledWrite
 	coreDone
@@ -79,7 +81,6 @@ const (
 
 type core struct {
 	state       coreState
-	readyAt     int64
 	pending     trace.Record
 	outstanding int
 	retired     uint64
@@ -88,35 +89,44 @@ type core struct {
 	writes      uint64
 }
 
-// waitEntry pairs an outstanding read request with its issuing core. The
-// set is bounded by Cores*MLP (16 in the default configuration), so a
-// flat slice with linear lookup and swap-removal beats a map: no hashing,
-// no bucket chasing, no allocation.
-type waitEntry struct {
-	id   uint64
-	core int
-}
+// never marks a core with no deadline in runAt or stallAt.
+const never = math.MaxInt64
 
 // Cluster drives the cores.
 type Cluster struct {
-	cfg     Config
-	src     Source
-	cores   []core
-	cycPS   int64
-	waiting []waitEntry // outstanding reads; len <= Cores*MLP
+	cfg   Config
+	src   Source
+	cores []core
+	cycPS int64
+
+	// runAt[i] is core i's issue time while it runs and stallAt[i] its
+	// retry time while a full write queue stalls it, never otherwise; at
+	// most one of the two is set. They are the only record of either,
+	// packed so the per-event scans read two short arrays and no core
+	// struct.
+	runAt   []int64
+	stallAt []int64
+
+	// waitIDs holds the request ids of outstanding reads and waitCores
+	// their issuing cores, index for index. The set is bounded by
+	// Cores*MLP (16 in the default configuration); a linear scan of the
+	// ids with swap-removal measured faster than an open-addressed table.
+	waitIDs   []uint64
+	waitCores []int
 
 	// stalledWrites counts cores in coreStalledWrite so RetryAt skips the
-	// core scan in the common all-flowing case.
+	// scan in the common all-flowing case.
 	stalledWrites int
+	// done counts cores in coreDone and retired sums every core's retired
+	// instructions, so AllDone and TotalRetired are field reads.
+	done    int
+	retired uint64
 
-	// Cached deadlines, recomputed lazily after any state change: nextAt
-	// is the earliest issue time among running cores (NextActionAt),
-	// stepAt additionally admits stalled-write retries (Step's early-out).
-	nextAt    int64
-	nextOK    bool
-	stepAt    int64
-	stepOK    bool
-	nextValid bool
+	// nextAt caches the minimum of runAt (NextActionAt) and stepAt the
+	// minimum over both arrays (Step's early-out). Every deadline change
+	// clears valid; the next query rescans.
+	nextAt, stepAt int64
+	valid          bool
 }
 
 // NewCluster builds the cluster and primes each core's first access.
@@ -128,13 +138,17 @@ func NewCluster(cfg Config, src Source) (*Cluster, error) {
 		return nil, fmt.Errorf("cpu: nil trace source")
 	}
 	cl := &Cluster{
-		cfg:     cfg,
-		src:     src,
-		cores:   make([]core, cfg.Cores),
-		cycPS:   int64(1000/cfg.FreqGHz + 0.5),
-		waiting: make([]waitEntry, 0, cfg.Cores*cfg.MLP),
+		cfg:       cfg,
+		src:       src,
+		cores:     make([]core, cfg.Cores),
+		cycPS:     int64(1000/cfg.FreqGHz + 0.5),
+		runAt:     make([]int64, cfg.Cores),
+		stallAt:   make([]int64, cfg.Cores),
+		waitIDs:   make([]uint64, 0, cfg.Cores*cfg.MLP),
+		waitCores: make([]int, 0, cfg.Cores*cfg.MLP),
 	}
 	for i := range cl.cores {
+		cl.runAt[i], cl.stallAt[i] = never, never
 		if err := cl.fetch(i, 0); err != nil {
 			return nil, err
 		}
@@ -142,39 +156,26 @@ func NewCluster(cfg Config, src Source) (*Cluster, error) {
 	return cl, nil
 }
 
-// recompute refreshes the cached deadlines from the core states.
+// recompute refreshes the cached deadlines from the two arrays.
 func (cl *Cluster) recompute() {
-	var nextAt, stepAt int64
-	nextOK, stepOK := false, false
-	for i := range cl.cores {
-		c := &cl.cores[i]
-		switch c.state {
-		case coreRunning:
-			if !nextOK || c.readyAt < nextAt {
-				nextAt, nextOK = c.readyAt, true
-			}
-			if !stepOK || c.readyAt < stepAt {
-				stepAt, stepOK = c.readyAt, true
-			}
-		case coreStalledWrite:
-			if !stepOK || c.readyAt < stepAt {
-				stepAt, stepOK = c.readyAt, true
-			}
-		}
+	next, stall := int64(never), int64(never)
+	for i, at := range cl.runAt {
+		next = min(next, at)
+		stall = min(stall, cl.stallAt[i])
 	}
-	cl.nextAt, cl.nextOK = nextAt, nextOK
-	cl.stepAt, cl.stepOK = stepAt, stepOK
-	cl.nextValid = true
+	cl.nextAt, cl.stepAt, cl.valid = next, min(next, stall), true
 }
 
 // fetch loads core i's next record and schedules its issue time after the
 // instruction gap; it retires the budget check first.
 func (cl *Cluster) fetch(i int, now int64) error {
 	c := &cl.cores[i]
+	cl.stallAt[i], cl.valid = never, false
 	if c.retired >= cl.cfg.InstrBudget {
 		c.state = coreDone
 		c.finishedAt = now
-		cl.nextValid = false
+		cl.runAt[i] = never
+		cl.done++
 		return nil
 	}
 	rec, err := cl.src.Next(i)
@@ -185,9 +186,10 @@ func (cl *Cluster) fetch(i int, now int64) error {
 	c.state = coreRunning
 	// The gap instructions plus the access instruction's own cycle elapse
 	// before the access reaches memory.
-	c.readyAt = now + (int64(rec.Gap)+1)*cl.cycPS
-	c.retired += uint64(rec.Gap) + 1
-	cl.nextValid = false
+	n := uint64(rec.Gap) + 1
+	cl.runAt[i] = now + int64(n)*cl.cycPS
+	c.retired += n
+	cl.retired += n
 	return nil
 }
 
@@ -197,36 +199,38 @@ func (cl *Cluster) fetch(i int, now int64) error {
 // would livelock the event loop at a frozen timestamp; RetryAt re-arms them
 // once memory progresses.
 func (cl *Cluster) NextActionAt() (int64, bool) {
-	if !cl.nextValid {
+	if !cl.valid {
 		cl.recompute()
 	}
-	return cl.nextAt, cl.nextOK
+	if cl.nextAt == never {
+		return 0, false
+	}
+	return cl.nextAt, true
 }
 
-// Step issues the accesses of every core ready at or before now. When the
-// cached deadline says no core is actionable yet, the scan is skipped.
+// Step issues the accesses of every core due at or before now, running
+// cores and re-armed stalled writers alike, in core index order. When the
+// cached deadline says no core is due yet, the scan is skipped.
 func (cl *Cluster) Step(now int64, mem MemPort) error {
-	if !cl.nextValid {
+	if !cl.valid {
 		cl.recompute()
 	}
-	if !cl.stepOK || cl.stepAt > now {
+	if cl.stepAt > now {
 		return nil
 	}
-	for i := range cl.cores {
-		c := &cl.cores[i]
-		if c.readyAt > now {
+	for i, at := range cl.runAt {
+		if min(at, cl.stallAt[i]) > now {
 			continue
 		}
-		switch c.state {
-		case coreRunning, coreStalledWrite:
-			if err := cl.issue(i, now, mem); err != nil {
-				return err
-			}
+		if err := cl.issue(i, now, mem); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+// issue sends core i's pending access; Step calls it only when the core's
+// deadline is at or before now.
 func (cl *Cluster) issue(i int, now int64, mem MemPort) error {
 	c := &cl.cores[i]
 	if c.pending.Write {
@@ -240,8 +244,7 @@ func (cl *Cluster) issue(i int, now int64, mem MemPort) error {
 				cl.stalledWrites++
 			}
 			c.state = coreStalledWrite
-			c.writesStalled(now)
-			cl.nextValid = false
+			cl.runAt[i], cl.stallAt[i], cl.valid = never, now, false
 			return nil
 		}
 		if c.state == coreStalledWrite {
@@ -256,39 +259,28 @@ func (cl *Cluster) issue(i int, now int64, mem MemPort) error {
 	}
 	c.reads++
 	c.outstanding++
-	cl.waiting = append(cl.waiting, waitEntry{id: id, core: i})
+	cl.waitIDs = append(cl.waitIDs, id)
+	cl.waitCores = append(cl.waitCores, i)
 	if c.outstanding >= cl.cfg.MLP {
 		// Window full: stall until a completion frees a slot.
 		c.state = coreWaitingRead
-		cl.nextValid = false
+		cl.runAt[i], cl.valid = never, false
 		return nil
 	}
 	return cl.fetch(i, now)
 }
 
-func (c *core) writesStalled(now int64) {
-	if c.readyAt < now {
-		c.readyAt = now
-	}
-}
-
 // OnReadComplete retires an outstanding read, resuming the core if the
 // completion freed a full MLP window.
 func (cl *Cluster) OnReadComplete(id uint64, at int64) error {
-	idx := -1
-	for j := range cl.waiting {
-		if cl.waiting[j].id == id {
-			idx = j
-			break
-		}
-	}
+	idx := slices.Index(cl.waitIDs, id)
 	if idx < 0 {
 		return fmt.Errorf("cpu: completion for unknown request %d", id)
 	}
-	i := cl.waiting[idx].core
-	last := len(cl.waiting) - 1
-	cl.waiting[idx] = cl.waiting[last]
-	cl.waiting = cl.waiting[:last]
+	i := cl.waitCores[idx]
+	last := len(cl.waitIDs) - 1
+	cl.waitIDs[idx], cl.waitCores[idx] = cl.waitIDs[last], cl.waitCores[last]
+	cl.waitIDs, cl.waitCores = cl.waitIDs[:last], cl.waitCores[:last]
 	c := &cl.cores[i]
 	if c.outstanding <= 0 {
 		return fmt.Errorf("cpu: core %d has no outstanding reads", i)
@@ -307,45 +299,18 @@ func (cl *Cluster) RetryAt(now int64) {
 	if cl.stalledWrites == 0 {
 		return
 	}
-	for i := range cl.cores {
-		c := &cl.cores[i]
-		if c.state == coreStalledWrite && c.readyAt < now {
-			c.readyAt = now
-			cl.nextValid = false
+	for i, at := range cl.stallAt {
+		if at < now {
+			cl.stallAt[i], cl.valid = now, false
 		}
 	}
 }
 
 // TotalRetired sums retired instructions across cores.
-func (cl *Cluster) TotalRetired() uint64 {
-	var n uint64
-	for i := range cl.cores {
-		n += cl.cores[i].retired
-	}
-	return n
-}
+func (cl *Cluster) TotalRetired() uint64 { return cl.retired }
 
 // AllDone reports whether every core retired its budget.
-func (cl *Cluster) AllDone() bool {
-	for i := range cl.cores {
-		if cl.cores[i].state != coreDone {
-			return false
-		}
-	}
-	return true
-}
-
-// BlockedOnMemory reports whether at least one core waits on a read
-// completion (used by the simulator to decide whether time can be driven by
-// the memory side alone).
-func (cl *Cluster) BlockedOnMemory() bool {
-	for i := range cl.cores {
-		if cl.cores[i].state == coreWaitingRead {
-			return true
-		}
-	}
-	return false
-}
+func (cl *Cluster) AllDone() bool { return cl.done == len(cl.cores) }
 
 // CoreStats describes one core's run.
 type CoreStats struct {

@@ -98,12 +98,10 @@ func TestSingleCoreReadBlocks(t *testing.T) {
 	if mem.reads != 1 {
 		t.Fatalf("reads = %d", mem.reads)
 	}
-	// Core is blocked: no next action.
-	if _, ok := cl.NextActionAt(); ok {
-		t.Fatal("blocked core still reports an action")
-	}
-	if !cl.BlockedOnMemory() {
-		t.Fatal("BlockedOnMemory = false while read outstanding")
+	// Core is blocked on its read: no next action, though it is not done
+	// and a read-only script never stalls on the write queue.
+	if _, ok := cl.NextActionAt(); ok || cl.AllDone() {
+		t.Fatalf("blocked core: NextActionAt ok = %v, AllDone = %v, want false, false", ok, cl.AllDone())
 	}
 	// Complete the read at 5500+150000.
 	if err := cl.OnReadComplete(1, 155_500); err != nil {
@@ -318,5 +316,76 @@ func TestMLPCompletionResumesWindow(t *testing.T) {
 	}
 	if mem.reads != 3 {
 		t.Errorf("after one completion %d reads, want 3", mem.reads)
+	}
+}
+
+// ringMem is a MemPort that never allocates: read ids are sequential,
+// outstanding reads wait in a fixed ring, and every fourth write finds
+// the write queue full.
+type ringMem struct {
+	nextID  uint64
+	ring    [64]uint64
+	head, n int
+	writes  int
+}
+
+func (m *ringMem) Read(now int64, core int, line uint64) (uint64, error) {
+	m.nextID++
+	m.ring[(m.head+m.n)%len(m.ring)] = m.nextID
+	m.n++
+	return m.nextID, nil
+}
+
+func (m *ringMem) Write(now int64, core int, line uint64) (bool, error) {
+	m.writes++
+	return m.writes%4 != 0, nil
+}
+
+// TestClusterSteadyStateZeroAlloc is the cluster's half of the hot-path
+// contract (the engine's half is internal/sim's
+// TestSteadyStateReadWriteZeroAlloc): once warm, an event step of
+// completions, write retries and issues allocates nothing.
+func TestClusterSteadyStateZeroAlloc(t *testing.T) {
+	src := newScript(map[int][]trace.Record{
+		0: {{Line: 1}, {Write: true, Line: 2, Gap: 3}, {Line: 3, Gap: 1}},
+		1: {{Write: true, Line: 4}, {Line: 5, Gap: 2}},
+		2: {{Line: 6, Gap: 5}, {Line: 7}, {Write: true, Line: 8}},
+		3: {{Write: true, Line: 9, Gap: 1}, {Write: true, Line: 10}, {Line: 11}},
+	})
+	cl, err := NewCluster(Config{Cores: 4, FreqGHz: 2, InstrBudget: 1 << 40, MLP: 4}, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := &ringMem{}
+	now := int64(0)
+	// One step retires the oldest outstanding read, re-arms stalled
+	// writers and issues every core due, as the simulator's loop does.
+	step := func() {
+		if mem.n > 0 {
+			id := mem.ring[mem.head]
+			mem.head, mem.n = (mem.head+1)%len(mem.ring), mem.n-1
+			if err := cl.OnReadComplete(id, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cl.RetryAt(now)
+		if at, ok := cl.NextActionAt(); ok {
+			now = max(now, at)
+		}
+		if err := cl.Step(now, mem); err != nil {
+			t.Fatal(err)
+		}
+		now += 500
+	}
+	for i := 0; i < 1000; i++ {
+		step()
+	}
+	reads, writes := mem.nextID, mem.writes
+	if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
+		t.Errorf("steady-state cluster step allocates %.1f times per call, want 0", allocs)
+	}
+	if mem.nextID == reads || mem.writes-writes < 4 {
+		t.Fatalf("measured steps issued %d reads and %d writes, want reads and at least one refused write",
+			mem.nextID-reads, mem.writes-writes)
 	}
 }

@@ -275,8 +275,10 @@ type Controller struct {
 	stats       Stats
 	completions []Completion
 
-	// minAt caches the minimum over busyUntil and scrubAt. Every write to
-	// either clears minValid; NextEventAt and AdvanceTo rescan on demand.
+	// minAt caches the minimum over busyUntil and scrubAt. A dispatch can
+	// only lower it and does so in place; every other deadline change that
+	// may raise it clears minValid, and NextEventAt and AdvanceTo rescan on
+	// demand.
 	minAt    int64
 	minValid bool
 }
@@ -325,7 +327,10 @@ func (c *Controller) recomputeMin() {
 	c.minAt, c.minValid = at, true
 }
 
-// Now returns the controller's current time (ps).
+// Now returns the controller's current time (ps): the target of the last
+// AdvanceTo. The simulator advances the controller only when it has an
+// event due, so Now lags simulated time between events; only tests read
+// it.
 func (c *Controller) Now() int64 { return c.now }
 
 // Stats returns a snapshot of accumulated statistics.
@@ -521,7 +526,9 @@ func (c *Controller) dispatch(b *bank, now int64) {
 	}
 	b.inflight = q.popFront()
 	b.startedAt = now
-	c.busyUntil[b.idx], c.minValid = now+b.inflight.latencyPS, false
+	// The bank was idle, so its new deadline can only lower the minimum.
+	at := now + b.inflight.latencyPS
+	c.busyUntil[b.idx], c.minAt = at, min(c.minAt, at)
 }
 
 // maybeCancelWrite implements write cancellation with pausing (the paper
@@ -546,6 +553,9 @@ func (c *Controller) maybeCancelWrite(b *bank, now int64) {
 	c.stats.BankBusyPS += ran
 	paused := b.inflight
 	paused.latencyPS = max(paused.latencyPS-ran, 1)
-	c.busyUntil[b.idx], c.minValid = never, false
+	if c.busyUntil[b.idx] == c.minAt {
+		c.minValid = false
+	}
+	c.busyUntil[b.idx] = never
 	b.writeQ.pushFront(paused)
 }

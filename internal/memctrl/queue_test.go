@@ -51,11 +51,25 @@ func TestOpQueueAgainstSliceOracle(t *testing.T) {
 
 // TestNextEventCacheConsistent checks the cached event minimum against a
 // brute-force scan of the deadline arrays after every call of a busy
-// random workload.
+// random workload. Reads come in every sensing mode. A second pass runs
+// one bank without scrubbing, at a pace its write queue keeps up with: a
+// cancelled write then holds the minimum, and a read slower than its
+// remaining time must not leave the paused write's deadline cached.
 func TestNextEventCacheConsistent(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ScrubInterval = 50 * time.Microsecond
-	cfg.TotalLines = 1 << 10
+	for _, tc := range []struct {
+		banks   int
+		scrub   time.Duration
+		maxStep int // ps one AdvanceTo call may move time
+	}{{8, 50 * time.Microsecond, 200_000}, {1, 0, 2_000_000}} {
+		cfg := DefaultConfig()
+		cfg.Banks, cfg.ScrubInterval = tc.banks, tc.scrub
+		cfg.TotalLines = 1 << 10
+		checkNextEventCache(t, cfg, tc.maxStep)
+	}
+}
+
+func checkNextEventCache(t *testing.T, cfg Config, maxStep int) {
+	t.Helper()
 	acct, err := energy.NewAccounting(energy.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
@@ -81,8 +95,8 @@ func TestNextEventCacheConsistent(t *testing.T) {
 		for i := range c.banks {
 			b := &c.banks[i]
 			if c.busyUntil[i] == never && b.readQ.len()+b.writeQ.len()+b.scrubPending.len() > 0 {
-				t.Fatalf("step %d: bank %d idle with %d reads, %d writes, %d scrubs queued",
-					step, i, b.readQ.len(), b.writeQ.len(), b.scrubPending.len())
+				t.Fatalf("%d banks, step %d: bank %d idle with %d reads, %d writes, %d scrubs queued",
+					cfg.Banks, step, i, b.readQ.len(), b.writeQ.len(), b.scrubPending.len())
 			}
 		}
 	}
@@ -93,21 +107,22 @@ func TestNextEventCacheConsistent(t *testing.T) {
 		line := uint64(rng.Intn(1 << 10))
 		switch rng.Intn(3) {
 		case 0:
-			if err := c.EnqueueRead(now, uint64(step), line, sense.ModeR); err != nil {
+			mode := [...]sense.Mode{sense.ModeR, sense.ModeM, sense.ModeRM}[rng.Intn(3)]
+			if err := c.EnqueueRead(now, uint64(step), line, mode); err != nil {
 				t.Fatal(err)
 			}
 		case 1:
 			c.EnqueueWrite(now, line, 296)
 		default:
-			now += int64(rng.Intn(200_000))
+			now += int64(rng.Intn(maxStep))
 			scratch = c.AdvanceTo(now, scratch)
 		}
 		checkNoIdleWork(step)
 		gotAt, gotOK := c.NextEventAt()
 		wantAt, wantOK := brute()
 		if gotAt != wantAt || gotOK != wantOK {
-			t.Fatalf("step %d: NextEventAt = %d,%v brute force %d,%v",
-				step, gotAt, gotOK, wantAt, wantOK)
+			t.Fatalf("%d banks, step %d: NextEventAt = %d,%v brute force %d,%v",
+				cfg.Banks, step, gotAt, gotOK, wantAt, wantOK)
 		}
 	}
 }

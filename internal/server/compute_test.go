@@ -152,3 +152,38 @@ func TestComputeContract(t *testing.T) {
 		}
 	})
 }
+
+// TestJSONBodiesRejectTrailingData: every JSON body the server decodes
+// (a /v1/* POST, a /compute request, the spec body inside it) must be one
+// value followed by nothing but whitespace.
+func TestJSONBodiesRejectTrailingData(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const policy = `{"metric":"M","e":8,"s":16,"w":1}`
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/policy", policy + " trailing-garbage", http.StatusBadRequest},
+		{"/v1/policy", policy + `{}`, http.StatusBadRequest},
+		{"/v1/policy", policy + "\n", http.StatusOK},
+		{"/v1/policy", policy + " \r\n\t", http.StatusOK},
+		{backend.ComputePath, routedPolicy + " trailing-garbage", http.StatusBadRequest},
+		{backend.ComputePath, routedPolicy + "\n", http.StatusOK},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", tc.path, err)
+		}
+		buf, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("POST %s: read body: %v", tc.path, err)
+		}
+		if resp.StatusCode != tc.want {
+			t.Errorf("POST %s %q: status %d (%s), want %d", tc.path, tc.body, resp.StatusCode, buf, tc.want)
+		}
+	}
+	if _, err := decodeSpec(backend.Spec{Op: opPolicy, Body: []byte(policy + " trailing-garbage")}); err == nil {
+		t.Error("decodeSpec accepted a spec body with trailing data")
+	}
+}

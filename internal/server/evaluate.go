@@ -30,11 +30,28 @@ const (
 )
 
 // specRequest is the common shape of the four computable request types:
-// normalize to canonical form, render the canonical key, compute.
+// fill from GET query parameters, normalize to canonical form, render the
+// canonical key, compute.
 type specRequest interface {
+	fromQuery(qv *queryValues) error
 	normalize() error
 	Key() string
 	compute(ctx context.Context, reg *telemetry.Registry) (any, error)
+}
+
+// newSpecRequest returns an empty request of the op's type.
+func newSpecRequest(op string) (specRequest, error) {
+	switch op {
+	case opLER:
+		return &lerRequest{}, nil
+	case opPolicy:
+		return &policyRequest{}, nil
+	case opMC:
+		return &mcRequest{}, nil
+	case opCompare:
+		return &compareRequest{}, nil
+	}
+	return nil, badf("unknown op %q", op)
 }
 
 // decodeSpec rebuilds the normalized request a Spec describes. Unknown
@@ -42,22 +59,11 @@ type specRequest interface {
 // compute failures. Normalization is idempotent, so a frontend's
 // already-normalized body round-trips to the identical canonical key.
 func decodeSpec(spec backend.Spec) (specRequest, error) {
-	var req specRequest
-	switch spec.Op {
-	case opLER:
-		req = &lerRequest{}
-	case opPolicy:
-		req = &policyRequest{}
-	case opMC:
-		req = &mcRequest{}
-	case opCompare:
-		req = &compareRequest{}
-	default:
-		return nil, badf("unknown op %q", spec.Op)
+	req, err := newSpecRequest(spec.Op)
+	if err != nil {
+		return nil, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(spec.Body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
+	if err := decodeJSON(bytes.NewReader(spec.Body), req); err != nil {
 		return nil, badf("bad %s spec body: %v", spec.Op, err)
 	}
 	if err := req.normalize(); err != nil {

@@ -79,102 +79,40 @@ type schemesResponse struct {
 	Resolved string              `json:"resolved,omitempty"`
 }
 
-// handleLER serves the drift line-error-rate grid (Tables III/IV).
-func (s *Server) handleLER(w http.ResponseWriter, r *http.Request) {
-	var req lerRequest
-	err := decodeRequest(r, &req, func(qv *queryValues) error {
-		qv.str("metric", &req.Metric)
-		if err := qv.float("temp", &req.TempK); err != nil {
-			return err
+// handleSpec serves one computable op: /v1/ler (the drift line-error-rate
+// grid of Tables III/IV), /v1/policy (one (E, S, W) scrub-policy verdict),
+// /v1/mc (a bounded Monte-Carlo endurance study) or /v1/compare (a bounded
+// full-system scheme comparison on one benchmark, driven through the
+// campaign engine with in-flight cancellation so an abandoned request
+// stops simulating). It decodes and normalizes the request, renders it as
+// a backend spec, and serves through the store.
+func (s *Server) handleSpec(op string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req, err := readSpecRequest(r, op)
+		if err != nil {
+			s.writeError(w, r, err)
+			return
 		}
-		if err := qv.intList("eccs", &req.ECCs); err != nil {
-			return err
+		spec, err := specFor(op, req)
+		if err != nil {
+			s.writeError(w, r, err)
+			return
 		}
-		return qv.floatList("intervals", &req.Intervals)
-	})
-	s.dispatch(w, r, opLER, &req, err)
+		s.serve(w, r, req.Key(), spec)
+	}
 }
 
-// handlePolicy serves one (E, S, W) scrub-policy verdict.
-func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
-	var req policyRequest
-	err := decodeRequest(r, &req, func(qv *queryValues) error {
-		qv.str("metric", &req.Metric)
-		if err := qv.float("temp", &req.TempK); err != nil {
-			return err
-		}
-		if err := qv.int("e", &req.E); err != nil {
-			return err
-		}
-		if err := qv.float("s", &req.S); err != nil {
-			return err
-		}
-		return qv.int("w", &req.W)
-	})
-	s.dispatch(w, r, opPolicy, &req, err)
-}
-
-// handleMC serves a bounded Monte-Carlo endurance study.
-func (s *Server) handleMC(w http.ResponseWriter, r *http.Request) {
-	var req mcRequest
-	err := decodeRequest(r, &req, func(qv *queryValues) error {
-		if err := qv.int("cells", &req.Cells); err != nil {
-			return err
-		}
-		if err := qv.float("median_endurance", &req.MedianEndurance); err != nil {
-			return err
-		}
-		if err := qv.float("sigma", &req.Sigma); err != nil {
-			return err
-		}
-		if err := qv.float("wear_rate", &req.WearRate); err != nil {
-			return err
-		}
-		if err := qv.int64("seed", &req.Seed); err != nil {
-			return err
-		}
-		return qv.int("shards", &req.Shards)
-	})
-	s.dispatch(w, r, opMC, &req, err)
-}
-
-// handleCompare serves a bounded full-system scheme comparison on one
-// benchmark, driven through the campaign engine with in-flight
-// cancellation so an abandoned request stops simulating.
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	var req compareRequest
-	err := decodeRequest(r, &req, func(qv *queryValues) error {
-		qv.str("benchmark", &req.Benchmark)
-		if err := qv.strList("schemes", &req.Schemes); err != nil {
-			return err
-		}
-		if err := qv.uint64("budget", &req.Budget); err != nil {
-			return err
-		}
-		return qv.int64("seed", &req.Seed)
-	})
-	s.dispatch(w, r, opCompare, &req, err)
-}
-
-// dispatch finishes a compute handler: normalize the decoded request,
-// render it as a backend spec, and serve through the store. decodeErr
-// carries any earlier decode failure so the handlers stay linear.
-func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, op string,
-	req specRequest, decodeErr error) {
-	err := decodeErr
+// readSpecRequest decodes and normalizes an op's request from a GET
+// query or a POST JSON body.
+func readSpecRequest(r *http.Request, op string) (specRequest, error) {
+	req, err := newSpecRequest(op)
+	if err == nil {
+		err = decodeRequest(r, req)
+	}
 	if err == nil {
 		err = req.normalize()
 	}
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	spec, err := specFor(op, req)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	s.serve(w, r, req.Key(), spec)
+	return req, err
 }
 
 // handleCompute executes one spec routed here by another node's Remote
@@ -191,9 +129,7 @@ func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var creq backend.ComputeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&creq); err != nil {
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, 1<<20), &creq); err != nil {
 		s.writeError(w, r, badf("bad compute request: %v", err))
 		return
 	}

@@ -2,7 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -113,6 +115,17 @@ func (q *lerRequest) Key() string {
 		joinInts(q.ECCs), joinFloats(q.Intervals))
 }
 
+func (q *lerRequest) fromQuery(qv *queryValues) error {
+	qv.str("metric", &q.Metric)
+	if err := qv.float("temp", &q.TempK); err != nil {
+		return err
+	}
+	if err := qv.intList("eccs", &q.ECCs); err != nil {
+		return err
+	}
+	return qv.floatList("intervals", &q.Intervals)
+}
+
 // --- Policy checks ----------------------------------------------------
 
 // policyRequest asks for the (BCH=E, S, W) acceptability verdict.
@@ -148,6 +161,20 @@ func (q *policyRequest) Key() string {
 	return fmt.Sprintf("policy|m=%s|t=%s|e=%d|s=%s|w=%d",
 		q.Metric, strconv.FormatFloat(q.TempK, 'g', -1, 64),
 		q.E, strconv.FormatFloat(q.S, 'g', -1, 64), q.W)
+}
+
+func (q *policyRequest) fromQuery(qv *queryValues) error {
+	qv.str("metric", &q.Metric)
+	if err := qv.float("temp", &q.TempK); err != nil {
+		return err
+	}
+	if err := qv.int("e", &q.E); err != nil {
+		return err
+	}
+	if err := qv.float("s", &q.S); err != nil {
+		return err
+	}
+	return qv.int("w", &q.W)
 }
 
 // --- Monte-Carlo endurance --------------------------------------------
@@ -200,6 +227,25 @@ func (q *mcRequest) Key() string {
 		strconv.FormatFloat(q.Sigma, 'g', -1, 64),
 		strconv.FormatFloat(q.WearRate, 'g', -1, 64),
 		q.Seed, q.Shards)
+}
+
+func (q *mcRequest) fromQuery(qv *queryValues) error {
+	if err := qv.int("cells", &q.Cells); err != nil {
+		return err
+	}
+	if err := qv.float("median_endurance", &q.MedianEndurance); err != nil {
+		return err
+	}
+	if err := qv.float("sigma", &q.Sigma); err != nil {
+		return err
+	}
+	if err := qv.float("wear_rate", &q.WearRate); err != nil {
+		return err
+	}
+	if err := qv.int64("seed", &q.Seed); err != nil {
+		return err
+	}
+	return qv.int("shards", &q.Shards)
 }
 
 // --- Scheme comparison ------------------------------------------------
@@ -264,23 +310,46 @@ func (q *compareRequest) Key() string {
 		q.Benchmark, strings.Join(q.Schemes, ","), q.Budget, q.Seed)
 }
 
+func (q *compareRequest) fromQuery(qv *queryValues) error {
+	qv.str("benchmark", &q.Benchmark)
+	if err := qv.strList("schemes", &q.Schemes); err != nil {
+		return err
+	}
+	if err := qv.uint64("budget", &q.Budget); err != nil {
+		return err
+	}
+	return qv.int64("seed", &q.Seed)
+}
+
 // --- Decoding ---------------------------------------------------------
 
-// decodeRequest fills dst from a POST JSON body or GET query parameters.
-// Unknown JSON fields are rejected so typos fail loudly (mirroring the
-// scheme parser's rejectUnknown).
-func decodeRequest(r *http.Request, dst any, fromQuery func(qv *queryValues) error) error {
+// decodeJSON decodes exactly one JSON value from r into dst. Unknown
+// fields are rejected so typos fail loudly (mirroring the scheme parser's
+// rejectUnknown), and so is anything but whitespace after the value.
+func decodeJSON(r io.Reader, dst any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
+}
+
+// decodeRequest fills dst from a POST JSON body (see decodeJSON) or GET
+// query parameters.
+func decodeRequest(r *http.Request, dst specRequest) error {
 	switch r.Method {
 	case http.MethodPost:
-		dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(dst); err != nil {
+		if err := decodeJSON(http.MaxBytesReader(nil, r.Body, 1<<20), dst); err != nil {
 			return badf("bad JSON body: %v", err)
 		}
 		return nil
 	case http.MethodGet:
 		qv := &queryValues{values: r.URL.Query()}
-		if err := fromQuery(qv); err != nil {
+		if err := dst.fromQuery(qv); err != nil {
 			return err
 		}
 		return qv.leftover()

@@ -148,12 +148,7 @@ func TestCompareAcceptsCorpusScenarios(t *testing.T) {
 func TestQueryDecodeRejectsUnknownParams(t *testing.T) {
 	r := httptest.NewRequest("GET", "/v1/mc?cells=100&sseed=3", nil)
 	var req mcRequest
-	err := decodeRequest(r, &req, func(qv *queryValues) error {
-		if err := qv.int("cells", &req.Cells); err != nil {
-			return err
-		}
-		return qv.int64("seed", &req.Seed)
-	})
+	err := decodeRequest(r, &req)
 	if err == nil || !strings.Contains(err.Error(), "sseed") {
 		t.Fatalf("err = %v, want unknown-parameter complaint about sseed", err)
 	}
@@ -162,7 +157,7 @@ func TestQueryDecodeRejectsUnknownParams(t *testing.T) {
 func TestJSONDecodeRejectsUnknownFields(t *testing.T) {
 	r := httptest.NewRequest("POST", "/v1/mc", strings.NewReader(`{"cells":100,"sseed":3}`))
 	var req mcRequest
-	err := decodeRequest(r, &req, func(*queryValues) error { return nil })
+	err := decodeRequest(r, &req)
 	if err == nil || !strings.Contains(err.Error(), "sseed") {
 		t.Fatalf("err = %v, want unknown-field complaint about sseed", err)
 	}
@@ -171,13 +166,7 @@ func TestJSONDecodeRejectsUnknownFields(t *testing.T) {
 func TestQueryDecodeTypes(t *testing.T) {
 	r := httptest.NewRequest("GET", "/v1/ler?metric=M&eccs=4,8&intervals=16,32.5", nil)
 	var req lerRequest
-	err := decodeRequest(r, &req, func(qv *queryValues) error {
-		qv.str("metric", &req.Metric)
-		if err := qv.intList("eccs", &req.ECCs); err != nil {
-			return err
-		}
-		return qv.floatList("intervals", &req.Intervals)
-	})
+	err := decodeRequest(r, &req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,9 +175,7 @@ func TestQueryDecodeTypes(t *testing.T) {
 	}
 
 	bad := httptest.NewRequest("GET", "/v1/ler?eccs=4,x", nil)
-	err = decodeRequest(bad, &req, func(qv *queryValues) error {
-		return qv.intList("eccs", &req.ECCs)
-	})
+	err = decodeRequest(bad, &lerRequest{})
 	if err == nil {
 		t.Fatal("malformed int list accepted")
 	}

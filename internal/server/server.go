@@ -254,10 +254,10 @@ func New(cfg Config) (*Server, error) {
 	s.store = newStore(base, s.be, s.cache, cfg.Registry)
 
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/ler", s.instrument("ler", s.handleLER))
-	s.mux.HandleFunc("/v1/policy", s.instrument("policy", s.handlePolicy))
-	s.mux.HandleFunc("/v1/mc", s.instrument("mc", s.handleMC))
-	s.mux.HandleFunc("/v1/compare", s.instrument("compare", s.handleCompare))
+	s.mux.HandleFunc("/v1/ler", s.instrument("ler", s.handleSpec(opLER)))
+	s.mux.HandleFunc("/v1/policy", s.instrument("policy", s.handleSpec(opPolicy)))
+	s.mux.HandleFunc("/v1/mc", s.instrument("mc", s.handleSpec(opMC)))
+	s.mux.HandleFunc("/v1/compare", s.instrument("compare", s.handleSpec(opCompare)))
 	s.mux.HandleFunc("/v1/schemes", s.instrument("schemes", s.handleSchemes))
 	s.mux.HandleFunc(backend.ComputePath, s.instrument("compute", s.handleCompute))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)

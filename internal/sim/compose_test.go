@@ -72,15 +72,21 @@ func TestComposedDesignsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tc.label, bench, err)
 			}
-			buf, err := json.Marshal(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(buf)
 			key := tc.label + "/" + bench
-			if got := hex.EncodeToString(sum[:]); got != want[key] {
+			if got := resultDigest(t, res); got != want[key] {
 				t.Errorf("%q: result digest %s, want %s", key, got, want[key])
 			}
 		}
 	}
+}
+
+// resultDigest is the hex sha256 of a Result's JSON.
+func resultDigest(t *testing.T, res *Result) string {
+	t.Helper()
+	buf, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }

@@ -337,7 +337,10 @@ const cancelCheckMask = 1<<13 - 1
 
 // loop is the two-clock event loop: the CPU cluster proposes its next issue
 // time, the memory controller its next internal event; the earlier one
-// advances global time.
+// advances global time. At one timestamp memory completions go first, then
+// write-queue retries, then core issues in core index order. The
+// controller is advanced only when it has an event due, so on a CPU-only
+// step its clock lags until its next event; nothing reads it in between.
 func (e *Engine) loop(ctx context.Context) error {
 	const maxIters = 1 << 62
 	var now int64
@@ -374,16 +377,19 @@ func (e *Engine) loop(ctx context.Context) error {
 		}
 		progressed := t > now
 		now = t
-		comps := e.ctrl.AdvanceTo(t, scratch)
-		scratch = comps
-		for _, comp := range comps {
-			if err := e.cluster.OnReadComplete(comp.ID, comp.At); err != nil {
-				return err
+		completed := false
+		if okMem && tMem <= t {
+			scratch = e.ctrl.AdvanceTo(t, scratch)
+			for _, comp := range scratch {
+				if err := e.cluster.OnReadComplete(comp.ID, comp.At); err != nil {
+					return err
+				}
 			}
+			completed = len(scratch) > 0
 		}
 		// Write-queue retries only make sense once memory state changed;
 		// retrying at a frozen timestamp would spin.
-		if progressed || len(comps) > 0 {
+		if progressed || completed {
 			e.cluster.RetryAt(now)
 		}
 		if err := e.cluster.Step(now, e); err != nil {
