@@ -31,6 +31,15 @@
 // cohorts and claims backed by fewer than -min-samples runs:
 //
 //	benchjson compare -governance -min-samples 5 BENCH_old.json BENCH_new.json
+//
+// The judge subcommand is the verdict on a perfbench speed claim. It
+// pairs the runs of a parent and a change document in committed order
+// and, for every workload and every end-to-end metric BENCHMARK.json
+// declares, prints both medians, the parent's quartiles, the pairs the
+// change won and one verdict: gain, regression, unresolved or within
+// bound (see judgeCell). It exits 1 on any regression:
+//
+//	benchjson judge BENCHMARK.json results/BENCH_perfbench_x_parent.json results/BENCH_perfbench_x_change.json
 package main
 
 import (
@@ -121,6 +130,9 @@ func (b Benchmark) samples() int {
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "compare" {
 		os.Exit(runCompare(os.Args[2:], os.Stdout, os.Stderr))
+	}
+	if len(os.Args) > 1 && os.Args[1] == "judge" {
+		os.Exit(runJudge(os.Args[2:], os.Stdout, os.Stderr))
 	}
 	note := flag.String("note", "", "free-form provenance note stored in the document")
 	cohort := flag.String("cohort", "", "explicit cohort identity (default: hash of goos/goarch/pkg/benchmark set)")

@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,12 +17,14 @@ import (
 
 // Disk is a size-bounded on-disk cache tier, content-addressed by the
 // canonical spec key: each entry is one file named by the key's SHA-256,
-// holding a small header (magic + key, so a hash collision or stale file
-// can never answer the wrong spec) followed by the value bytes. Writes
-// are crash-safe: the entry is assembled in a temp file in the same
-// directory and renamed into place, so a crash leaves either the old
-// entry, the new entry, or a *.tmp leftover that the next Open sweeps —
-// never a torn file under the content-addressed name.
+// holding a small header followed by the key and the value bytes. The
+// stored key means a hash collision or stale file can never answer the
+// wrong spec; the header's value length and CRC-32 mean a truncated or
+// bit-rotten value is never served. Writes are crash-safe: the entry is
+// assembled in a temp file in the same directory and renamed into place,
+// so a crash leaves either the old entry, the new entry, or a *.tmp
+// leftover that the next Open sweeps — never a torn file under the
+// content-addressed name.
 //
 // The byte budget is enforced by an in-memory LRU index over file
 // costs, rebuilt on Open from the directory itself (mtime order), so a
@@ -40,7 +44,22 @@ type diskEntry struct {
 	cost int64  // file size in bytes
 }
 
-const diskMagic = "RDC1"
+// An entry file is, in order:
+//
+//	"RDC2"              4-byte magic
+//	key length          uint32, little-endian
+//	value length        uint32, little-endian
+//	CRC-32 of the value uint32 (IEEE), little-endian
+//	key bytes
+//	value bytes
+//
+// and nothing after the value. The older "RDC1" entries (magic, key
+// length, key, then whatever bytes followed as the value) carry no
+// length or checksum; Get treats them as misses and removes them.
+const (
+	diskMagic   = "RDC2"
+	entryHeader = len(diskMagic) + 12
+)
 
 // OpenDisk opens (creating if needed) a disk tier rooted at dir with the
 // given byte budget. Leftover temp files from a crashed writer are
@@ -115,9 +134,9 @@ func keyFile(key string) string {
 // Name implements Tier.
 func (d *Disk) Name() string { return "disk" }
 
-// Get reads the entry for key, verifying the stored key matches. A
-// missing, torn, or mismatched file is treated as a miss and dropped
-// from the tier.
+// Get reads the entry for key, verifying the stored key, the value's
+// length and its checksum. A missing, torn, bit-rotten, old-format or
+// mismatched file is treated as a miss and dropped from the tier.
 func (d *Disk) Get(key string) ([]byte, bool) {
 	name := keyFile(key)
 	d.mu.Lock()
@@ -147,18 +166,44 @@ func readEntry(path, key string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdr := len(diskMagic) + 4
-	if len(data) < hdr || string(data[:len(diskMagic)]) != diskMagic {
-		return nil, fmt.Errorf("cache: %s: bad header", path)
+	val, err := decodeEntry(data, key)
+	if err != nil {
+		return nil, fmt.Errorf("cache: %s: %w", path, err)
 	}
-	klen := int(binary.LittleEndian.Uint32(data[len(diskMagic):hdr]))
-	if len(data) < hdr+klen {
-		return nil, fmt.Errorf("cache: %s: truncated key", path)
+	return val, nil
+}
+
+// decodeEntry returns the value of an entry file stored for key, or an
+// error unless data is exactly encodeEntry(key, value) for some value.
+func decodeEntry(data []byte, key string) ([]byte, error) {
+	if len(data) < entryHeader || string(data[:len(diskMagic)]) != diskMagic {
+		return nil, fmt.Errorf("bad header")
 	}
-	if string(data[hdr:hdr+klen]) != key {
-		return nil, fmt.Errorf("cache: %s: key mismatch", path)
+	klen := uint64(binary.LittleEndian.Uint32(data[4:8]))
+	vlen := uint64(binary.LittleEndian.Uint32(data[8:12]))
+	sum := binary.LittleEndian.Uint32(data[12:16])
+	if uint64(len(data)) != uint64(entryHeader)+klen+vlen {
+		return nil, fmt.Errorf("entry is %d bytes, header says %d", len(data), uint64(entryHeader)+klen+vlen)
 	}
-	return data[hdr+klen:], nil
+	if string(data[entryHeader:entryHeader+int(klen)]) != key {
+		return nil, fmt.Errorf("key mismatch")
+	}
+	val := data[entryHeader+int(klen):]
+	if crc32.ChecksumIEEE(val) != sum {
+		return nil, fmt.Errorf("value checksum mismatch")
+	}
+	return val, nil
+}
+
+// encodeEntry lays out the entry file for key and val.
+func encodeEntry(key string, val []byte) []byte {
+	buf := make([]byte, entryHeader, entryHeader+len(key)+len(val))
+	copy(buf, diskMagic)
+	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(key)))
+	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(val)))
+	binary.LittleEndian.PutUint32(buf[12:16], crc32.ChecksumIEEE(val))
+	buf = append(buf, key...)
+	return append(buf, val...)
 }
 
 // Put stores val under key via temp-file + rename, evicting
@@ -166,8 +211,8 @@ func readEntry(path, key string) ([]byte, error) {
 // on-disk cost exceeds the whole budget is not stored.
 func (d *Disk) Put(key string, val []byte) (evicted int) {
 	name := keyFile(key)
-	cost := int64(len(diskMagic)+4+len(key)) + int64(len(val))
-	if cost > d.capacity {
+	cost := int64(entryHeader+len(key)) + int64(len(val))
+	if cost > d.capacity || uint64(len(key)) > math.MaxUint32 || uint64(len(val)) > math.MaxUint32 {
 		return 0
 	}
 	path := filepath.Join(d.dir, name)
@@ -194,13 +239,9 @@ func writeEntry(dir, path, key string, val []byte) error {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(key)))
-	for _, chunk := range [][]byte{[]byte(diskMagic), hdr[:], []byte(key), val} {
-		if _, err := tmp.Write(chunk); err != nil {
-			tmp.Close()
-			return err
-		}
+	if _, err := tmp.Write(encodeEntry(key, val)); err != nil {
+		tmp.Close()
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

@@ -52,16 +52,16 @@ func TestDiskSurvivesReopen(t *testing.T) {
 
 func TestDiskEvictsByBytes(t *testing.T) {
 	dir := t.TempDir()
-	// Each entry costs header(8) + key(2) + value(20) = 30 bytes.
-	d, err := OpenDisk(dir, 90)
+	// Each entry costs header(16) + key(2) + value(20) = 38 bytes.
+	d, err := OpenDisk(dir, 3*38)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []string{"k1", "k2", "k3"} {
 		d.Put(k, make([]byte, 20))
 	}
-	if d.Len() != 3 || d.Bytes() != 90 {
-		t.Fatalf("len=%d bytes=%d, want 3/90", d.Len(), d.Bytes())
+	if d.Len() != 3 || d.Bytes() != 3*38 {
+		t.Fatalf("len=%d bytes=%d, want 3/%d", d.Len(), d.Bytes(), 3*38)
 	}
 	if ev := d.Put("k4", make([]byte, 20)); ev != 1 {
 		t.Fatalf("evicted %d, want 1", ev)
@@ -105,26 +105,55 @@ func TestDiskSweepsTempLeftovers(t *testing.T) {
 	}
 }
 
+// TestDiskCorruptEntryIsAMiss: a file changed behind the tier's back
+// (torn write, bit rot, an entry of the older RDC1 format) is never
+// served; it is dropped from the index and removed.
 func TestDiskCorruptEntryIsAMiss(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDisk(dir, 1<<20)
-	if err != nil {
-		t.Fatal(err)
+	const key = "k"
+	val := []byte(`{"ratio":1.2345}`)
+	cases := []struct {
+		name    string
+		corrupt func(entry []byte) []byte
+	}{
+		{"torn header", func([]byte) []byte { return []byte("RD") }},
+		{"truncated value", func(e []byte) []byte { return e[:len(e)-6] }},
+		{"flipped value byte", func(e []byte) []byte {
+			e = append([]byte(nil), e...)
+			e[len(e)-3] ^= 0x01 // '4' -> '5'
+			return e
+		}},
+		{"trailing bytes", func(e []byte) []byte { return append(append([]byte(nil), e...), '0') }},
+		{"RDC1 entry", func([]byte) []byte {
+			old := []byte("RDC1\x01\x00\x00\x00" + key)
+			return append(old, val...)
+		}},
 	}
-	d.Put("k", []byte("value"))
-	// Corrupt the file behind the tier's back (torn write, bit rot).
-	path := filepath.Join(dir, keyFile("k"))
-	if err := os.WriteFile(path, []byte("RD"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.Get("k"); ok {
-		t.Fatal("corrupt entry served")
-	}
-	if d.Len() != 0 {
-		t.Fatal("corrupt entry still indexed")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("corrupt file not removed")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d, err := OpenDisk(dir, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Put(key, val)
+			path := filepath.Join(dir, keyFile(key))
+			entry, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.corrupt(entry), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := d.Get(key); ok {
+				t.Fatalf("corrupt entry served as %q", got)
+			}
+			if d.Len() != 0 {
+				t.Fatal("corrupt entry still indexed")
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatal("corrupt file not removed")
+			}
+		})
 	}
 }
 
@@ -165,7 +194,7 @@ func TestDiskReopenEvictsOverBudget(t *testing.T) {
 		os.Chtimes(filepath.Join(dir, keyFile(k)), mt, mt)
 	}
 	d.Close()
-	d2, err := OpenDisk(dir, 60) // room for two 30-byte entries
+	d2, err := OpenDisk(dir, 2*38) // room for two 38-byte entries
 	if err != nil {
 		t.Fatal(err)
 	}

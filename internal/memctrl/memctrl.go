@@ -199,6 +199,9 @@ type opQueue struct {
 
 func (q *opQueue) len() int { return q.n }
 
+// emptied returns an empty queue over q's backing array.
+func (q *opQueue) emptied() opQueue { return opQueue{buf: q.buf} }
+
 func (q *opQueue) pushBack(o op) {
 	if q.n == len(q.buf) {
 		q.grow()
@@ -286,22 +289,39 @@ type Controller struct {
 // NewController builds a controller. The energy accounting sink is
 // mandatory; hook may be nil when scrubbing is disabled.
 func NewController(cfg Config, acct *energy.Accounting, hook ScrubHook) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
+	c := new(Controller)
+	if err := c.Reset(cfg, acct, hook); err != nil {
 		return nil, err
 	}
+	return c, nil
+}
+
+// Reset re-initializes c as NewController(cfg, acct, hook) builds a
+// controller. It keeps the capacity of c's bank, deadline and completion
+// slices and of every bank's ring buffers when the bank count is
+// unchanged, and zeroes everything else; NewController is the case of a
+// zero Controller. On error c is left unchanged.
+func (c *Controller) Reset(cfg Config, acct *energy.Accounting, hook ScrubHook) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if acct == nil {
-		return nil, fmt.Errorf("memctrl: energy accounting is required")
+		return fmt.Errorf("memctrl: energy accounting is required")
 	}
 	if cfg.ScrubInterval > 0 && hook == nil {
-		return nil, fmt.Errorf("memctrl: scrubbing enabled but no scrub hook")
+		return fmt.Errorf("memctrl: scrubbing enabled but no scrub hook")
 	}
-	c := &Controller{cfg: cfg, hook: hook, acct: acct, banks: make([]bank, cfg.Banks),
-		busyUntil: make([]int64, cfg.Banks), scrubAt: make([]int64, cfg.Banks)}
+	banks, busyUntil, scrubAt := c.banks, c.busyUntil, c.scrubAt
+	if len(banks) != cfg.Banks {
+		banks, busyUntil, scrubAt = make([]bank, cfg.Banks), make([]int64, cfg.Banks), make([]int64, cfg.Banks)
+	}
+	*c = Controller{cfg: cfg, hook: hook, acct: acct, banks: banks,
+		busyUntil: busyUntil, scrubAt: scrubAt, completions: c.completions[:0]}
 	linesPerBank := cfg.TotalLines / uint64(cfg.Banks)
 	for i := range c.banks {
 		b := &c.banks[i]
-		b.idx = i
-		b.linesInBank = linesPerBank
+		*b = bank{idx: i, linesInBank: linesPerBank, readQ: b.readQ.emptied(),
+			writeQ: b.writeQ.emptied(), scrubPending: b.scrubPending.emptied()}
 		c.busyUntil[i], c.scrubAt[i] = never, never
 		if cfg.ScrubInterval > 0 {
 			b.scrubPeriod = max(PS(cfg.ScrubInterval)/int64(linesPerBank), 1)
@@ -309,7 +329,7 @@ func NewController(cfg Config, acct *energy.Accounting, hook ScrubHook) (*Contro
 			c.scrubAt[i] = int64(i) * b.scrubPeriod / int64(cfg.Banks)
 		}
 	}
-	return c, nil
+	return nil
 }
 
 // Close is a no-op: a Controller holds no goroutines or other resources.

@@ -3,7 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math/rand"
+	"sync"
 	"time"
 
 	"readduo/internal/cpu"
@@ -117,7 +117,12 @@ type Engine struct {
 	ctrl    *memctrl.Controller
 	cluster *cpu.Cluster
 	acct    *energy.Accounting
-	rng     *rand.Rand
+	rng     *trace.Rand
+	// gen is the engine's own access stream, used when cfg.Source is nil.
+	gen *trace.Generator
+	// comps is the loop's completion scratch, recycled every iteration so
+	// the steady state never allocates.
+	comps []memctrl.Completion
 
 	// recordScrubRewrites notes scrub rewrites in lastWrite even for
 	// untouched lines (Design.recordsScrubRewrites).
@@ -127,8 +132,9 @@ type Engine struct {
 	// far negative for pre-window writes). An open-addressing flat table
 	// (internal/sim/linetable): Read, Write, and OnScrub each consult it
 	// once, making it the hottest data structure of the run. It starts
-	// at 16 slots and grows to the job's footprint; nothing iterates it,
-	// so its capacity never reaches a result.
+	// at 16 slots, or at a recycled engine's emptied table, and grows to
+	// the job's footprint; nothing iterates it, so its capacity never
+	// reaches a result.
 	lastWrite *linetable.Table
 
 	// Scrub geometry (ps).
@@ -221,13 +227,23 @@ func RunContext(ctx context.Context, cfg Config, scheme Scheme) (*Result, error)
 	if err := e.loop(ctx); err != nil {
 		return nil, err
 	}
-	return e.result(), nil
+	res := e.result()
+	e.empty()
+	enginePool.Put(e)
+	return res, nil
 }
+
+// enginePool holds engines whose run finished, emptied, for newEngine to
+// rebuild in place. A job then reuses the previous job's seeded stream
+// sources, controller queues and line tables instead of allocating them.
+// An engine whose run failed, was cancelled or panicked never enters it.
+var enginePool sync.Pool
 
 // newEngine validates the configuration and assembles a ready-to-run
 // engine (memory controller, CPU cluster, probability tables) without
 // starting the event loop — the seam the steady-state allocation tests
-// drive the read/write paths through.
+// drive the read/write paths through. It rebuilds a pooled engine when
+// there is one and a new one otherwise, through the same init.
 func newEngine(cfg Config, scheme Scheme) (*Engine, error) {
 	if err := scheme.Validate(); err != nil {
 		return nil, err
@@ -235,14 +251,48 @@ func newEngine(cfg Config, scheme Scheme) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-
-	e := &Engine{
-		cfg:       cfg,
-		scheme:    scheme,
-		rng:       trace.NewRand(cfg.Seed),
-		lastWrite: linetable.New(0),
-		tel:       newEngineProbes(cfg.Telemetry),
+	e, _ := enginePool.Get().(*Engine)
+	if e == nil {
+		e = new(Engine)
 	}
+	if err := e.init(cfg, scheme); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// empty readies a finished engine for enginePool. It keeps only what
+// init rebuilds in place: the engine's and its generator's stream
+// sources, the controller, the line tables and the converted-line map
+// (cleared) and the completion scratch. Every other field is zeroed, so
+// a pooled engine holds no reference to the caller's Source or Telemetry
+// and none to a shared probability table.
+func (e *Engine) empty() {
+	e.lastWrite.Reset()
+	if e.readCounts != nil {
+		e.readCounts.Reset()
+	}
+	clear(e.convertedLines)
+	*e = Engine{rng: e.rng, gen: e.gen, ctrl: e.ctrl, comps: e.comps[:0],
+		lastWrite: e.lastWrite, readCounts: e.readCounts, convertedLines: e.convertedLines}
+}
+
+// init builds the engine for one run over what empty kept, which is
+// nothing on a new engine: each kept part is re-seeded or was emptied,
+// and each missing one is allocated. cfg and scheme are valid.
+func (e *Engine) init(cfg Config, scheme Scheme) error {
+	rng, ctrl, lastWrite, counts, converted := e.rng, e.ctrl, e.lastWrite, e.readCounts, e.convertedLines
+	*e = Engine{cfg: cfg, scheme: scheme, gen: e.gen, comps: e.comps,
+		tel: newEngineProbes(cfg.Telemetry)}
+	if rng == nil {
+		rng = new(trace.Rand)
+	}
+	rng.Reseed(cfg.Seed)
+	e.rng = rng
+	if lastWrite == nil {
+		lastWrite = linetable.New(0)
+	}
+	e.lastWrite = lastWrite
 
 	// Scheme-specific memory configuration, derived from the design.
 	memCfg := cfg.Mem
@@ -253,7 +303,10 @@ func newEngine(cfg Config, scheme Scheme) (*Engine, error) {
 	e.recordScrubRewrites = scheme.recordsScrubRewrites()
 	if scheme.Env.Disturb > 0 {
 		e.disturb = drift.DisturbChannel{PerRead: scheme.Env.Disturb}
-		e.readCounts = linetable.New(0)
+		if counts == nil {
+			counts = linetable.New(0)
+		}
+		e.readCounts = counts
 	}
 	e.tel.scrubIntervalMS.Set(interval.Milliseconds())
 	e.tel.scrubW.Set(int64(w))
@@ -265,7 +318,7 @@ func newEngine(cfg Config, scheme Scheme) (*Engine, error) {
 
 	acct, err := energy.NewAccounting(cfg.Energy)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	e.acct = acct
 
@@ -273,9 +326,11 @@ func newEngine(cfg Config, scheme Scheme) (*Engine, error) {
 	if interval > 0 {
 		hook = e
 	}
-	ctrl, err := memctrl.NewController(memCfg, acct, hook)
-	if err != nil {
-		return nil, err
+	if ctrl == nil {
+		ctrl = new(memctrl.Controller)
+	}
+	if err := ctrl.Reset(memCfg, acct, hook); err != nil {
+		return err
 	}
 	e.ctrl = ctrl
 
@@ -296,7 +351,7 @@ func newEngine(cfg Config, scheme Scheme) (*Engine, error) {
 		}
 		frac, err := sharedSteadyRewrite(scanCfg, interval)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.steadyRewrite = frac
 	}
@@ -304,30 +359,35 @@ func newEngine(cfg Config, scheme Scheme) (*Engine, error) {
 	if scheme.usesConverter() {
 		conv, err := lwt.NewConverter()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.converter = conv
-		e.convertedLines = make(map[uint64]struct{})
+		if converted == nil {
+			converted = make(map[uint64]struct{})
+		}
+		e.convertedLines = converted
 	}
 
 	src := cfg.Source
 	if src == nil {
-		gen, err := trace.NewGenerator(cfg.Bench, cfg.CPU.Cores, cfg.Seed)
-		if err != nil {
-			return nil, err
+		if e.gen == nil {
+			e.gen = new(trace.Generator)
 		}
-		src = gen
+		if err := e.gen.Reset(cfg.Bench, cfg.CPU.Cores, cfg.Seed); err != nil {
+			return err
+		}
+		src = e.gen
 	}
 	cluster, err := cpu.NewCluster(cfg.CPU, src)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	e.cluster = cluster
 	e.warmupInstr = uint64(float64(cfg.CPU.InstrBudget*uint64(cfg.CPU.Cores)) * cfg.WarmupFrac)
 	if e.warmupInstr == 0 {
 		e.warmupDone = true
 	}
-	return e, nil
+	return nil
 }
 
 // cancelCheckMask throttles the event loop's context poll to one check
@@ -344,9 +404,6 @@ const cancelCheckMask = 1<<13 - 1
 func (e *Engine) loop(ctx context.Context) error {
 	const maxIters = 1 << 62
 	var now int64
-	// Completion scratch, owned by the loop and recycled every iteration so
-	// the steady state never allocates.
-	var scratch []memctrl.Completion
 	for iter := 0; ; iter++ {
 		if iter >= maxIters {
 			return fmt.Errorf("sim: event loop did not terminate")
@@ -379,13 +436,13 @@ func (e *Engine) loop(ctx context.Context) error {
 		now = t
 		completed := false
 		if okMem && tMem <= t {
-			scratch = e.ctrl.AdvanceTo(t, scratch)
-			for _, comp := range scratch {
+			e.comps = e.ctrl.AdvanceTo(t, e.comps)
+			for _, comp := range e.comps {
 				if err := e.cluster.OnReadComplete(comp.ID, comp.At); err != nil {
 					return err
 				}
 			}
-			completed = len(scratch) > 0
+			completed = len(e.comps) > 0
 		}
 		// Write-queue retries only make sense once memory state changed;
 		// retrying at a frozen timestamp would spin.
@@ -456,7 +513,7 @@ func (e *Engine) lineLastWrite(phys uint64, now int64) int64 {
 	if interval == 0 {
 		interval = 640 * time.Second
 	}
-	age := e.cfg.Bench.SampleInitialAge(interval, e.rng)
+	age := e.cfg.Bench.SampleInitialAge(interval, &e.rng.Rand)
 	t := now - memctrl.PS(age)
 	e.lastWrite.Put(phys, t)
 	return t

@@ -15,11 +15,12 @@
 // zero key (a valid line address) is stored out of line in a dedicated
 // slot so the keys slice can use 0 as the empty marker.
 //
-// The table only grows (the engine never deletes line state), doubling
-// at 3/4 load with a full rehash; entries are immutable 16-byte pairs,
-// so a rehash is a tight copy loop. Lookups and updates are
-// deterministic: iteration order is never exposed, so replacing the Go
-// map with this table is bit-identical for fixed seeds.
+// The table only grows (the engine never deletes line state, and Reset
+// empties it whole), doubling at 3/4 load with a full rehash; entries
+// are immutable 16-byte pairs, so a rehash is a tight copy loop.
+// Lookups and updates are deterministic: iteration order is never
+// exposed, so replacing the Go map with this table is bit-identical for
+// fixed seeds.
 package linetable
 
 import "readduo/internal/dist"
@@ -57,6 +58,15 @@ func (t *Table) init(size int) {
 	t.mask = uint64(size - 1)
 	t.limit = size * 3 / 4
 	t.n = 0
+}
+
+// Reset empties t and keeps its storage, so a table refilled to the
+// same footprint never grows again.
+func (t *Table) Reset() {
+	clear(t.keys)
+	clear(t.vals)
+	t.n = 0
+	t.zeroSet, t.zeroVal = false, 0
 }
 
 // Len returns the number of stored entries.

@@ -166,3 +166,47 @@ func BenchmarkGetMissPut(b *testing.B) {
 		}
 	}
 }
+
+// TestReset: a reset table holds nothing, the zero key included, keeps
+// its storage, and then behaves as a new table.
+func TestReset(t *testing.T) {
+	for _, entries := range []int{0, 10, 1500, 50_000} {
+		tab := New(0)
+		tab.Put(0, 3)
+		for i := uint64(1); i <= uint64(entries); i++ {
+			tab.Put(i*0x9e3779b97f4a7c15, int64(i))
+		}
+		slots := len(tab.keys)
+		tab.Reset()
+		if len(tab.keys) != slots || len(tab.vals) != slots {
+			t.Fatalf("%d entries in %d slots: Reset left %d/%d slots",
+				entries, slots, len(tab.keys), len(tab.vals))
+		}
+		if tab.Len() != 0 {
+			t.Fatalf("%d entries: Len after Reset = %d", entries, tab.Len())
+		}
+		if _, ok := tab.Get(0); ok {
+			t.Fatalf("%d entries: zero key survived Reset", entries)
+		}
+		for i := uint64(1); i <= uint64(entries); i++ {
+			if _, ok := tab.Get(i * 0x9e3779b97f4a7c15); ok {
+				t.Fatalf("%d entries: key %d survived Reset", entries, i)
+			}
+		}
+		ref := New(0)
+		for i := uint64(1); i <= 3000; i++ {
+			k := i * 0x2545f4914f6cdd1d
+			tab.Put(k, int64(i))
+			ref.Put(k, int64(i))
+		}
+		if tab.Len() != ref.Len() {
+			t.Fatalf("%d entries: refilled Len %d, new table %d", entries, tab.Len(), ref.Len())
+		}
+		for i := uint64(1); i <= 3000; i++ {
+			k := i * 0x2545f4914f6cdd1d
+			if v, ok := tab.Get(k); !ok || v != int64(i) {
+				t.Fatalf("%d entries: refilled Get(%d) = %d,%v", entries, k, v, ok)
+			}
+		}
+	}
+}

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Generator produces deterministic per-core access streams for a benchmark
@@ -16,7 +15,7 @@ type Generator struct {
 }
 
 type coreStream struct {
-	rng      *rand.Rand
+	rng      *Rand
 	base     uint64 // first line of this core's address slice
 	wsLines  uint64
 	hotLines uint64
@@ -29,26 +28,46 @@ type coreStream struct {
 // NewGenerator builds a generator for `cores` cores. Streams are
 // deterministic functions of (benchmark, seed).
 func NewGenerator(bench Benchmark, cores int, seed int64) (*Generator, error) {
-	if err := bench.Validate(); err != nil {
+	g := new(Generator)
+	if err := g.Reset(bench, cores, seed); err != nil {
 		return nil, err
 	}
+	return g, nil
+}
+
+// Reset restarts g as NewGenerator(bench, cores, seed) builds it, keeping
+// its per-core storage and re-seeding each core's stream in place; more
+// cores than g ever had start over with fresh streams. On error g is left
+// unchanged.
+func (g *Generator) Reset(bench Benchmark, cores int, seed int64) error {
+	if err := bench.Validate(); err != nil {
+		return err
+	}
 	if cores < 1 || cores > 255 {
-		return nil, fmt.Errorf("trace: core count %d out of range 1..255", cores)
+		return fmt.Errorf("trace: core count %d out of range 1..255", cores)
 	}
 	apki := bench.RPKI + bench.WPKI
-	g := &Generator{bench: bench, cores: make([]coreStream, cores)}
+	g.bench = bench
+	if cap(g.cores) < cores {
+		g.cores = make([]coreStream, cores)
+	}
+	g.cores = g.cores[:cores]
 	for c := range g.cores {
-		hot := uint64(bench.HotSetLines)
+		rng := g.cores[c].rng
+		if rng == nil {
+			rng = new(Rand)
+		}
+		rng.Reseed(coreSeed(seed, c))
 		g.cores[c] = coreStream{
-			rng:      NewRand(coreSeed(seed, c)),
+			rng:      rng,
 			base:     uint64(c) << 40, // disjoint per-core slices
 			wsLines:  uint64(bench.WorkingSetLines),
-			hotLines: hot,
+			hotLines: uint64(bench.HotSetLines),
 			meanGap:  1000 / apki,
 			writeP:   bench.WPKI / apki,
 		}
 	}
-	return g, nil
+	return nil
 }
 
 // coreSeed derives core c's stream seed from the generator seed.

@@ -18,6 +18,14 @@ func drawRound(r *rand.Rand) [5]uint64 {
 	}
 }
 
+// newRand builds a stream the way the engine and a generator do: a
+// Reseed of an empty Rand.
+func newRand(seed int64) *Rand {
+	r := new(Rand)
+	r.Reseed(seed)
+	return r
+}
+
 // memoSeeds are the edge seeds plus the four per-core seeds a generator
 // derives from one job seed.
 func memoSeeds() []int64 {
@@ -29,23 +37,53 @@ func memoSeeds() []int64 {
 	return seeds
 }
 
-// TestNewRandMatchesFreshSource pins the memo's one promise: a clone is
-// the freshly seeded stream, draw for draw, whether NewRand seeded it on
-// a miss or copied it on a hit.
+// TestNewRandMatchesFreshSource pins the memo's one promise: a stream is
+// the freshly seeded one, draw for draw, whether a Reseed of an empty
+// Rand seeded it on a miss, copied it on a hit, or restarted a stream
+// that had already drawn from another seed.
 func TestNewRandMatchesFreshSource(t *testing.T) {
 	const rounds = 100_000
+	used := newRand(7)
 	for _, seed := range memoSeeds() {
-		miss, hit := NewRand(seed), NewRand(seed)
+		miss, hit := newRand(seed), newRand(seed)
+		for i := 0; i < 1000; i++ {
+			drawRound(&used.Rand)
+		}
+		used.Reseed(seed)
 		fresh := rand.New(rand.NewSource(seed))
 		for i := 0; i < rounds; i++ {
 			want := drawRound(fresh)
-			if got := drawRound(miss); got != want {
-				t.Fatalf("seed %d round %d: first NewRand drew %x, fresh source %x", seed, i, got, want)
+			if got := drawRound(&miss.Rand); got != want {
+				t.Fatalf("seed %d round %d: first stream drew %x, fresh source %x", seed, i, got, want)
 			}
-			if got := drawRound(hit); got != want {
-				t.Fatalf("seed %d round %d: second NewRand drew %x, fresh source %x", seed, i, got, want)
+			if got := drawRound(&hit.Rand); got != want {
+				t.Fatalf("seed %d round %d: second stream drew %x, fresh source %x", seed, i, got, want)
+			}
+			if got := drawRound(&used.Rand); got != want {
+				t.Fatalf("seed %d round %d: reseeded stream drew %x, fresh source %x", seed, i, got, want)
 			}
 		}
+	}
+}
+
+// TestReseedAllocatesNothing: restarting a stream copies state into the
+// source it holds.
+func TestReseedAllocatesNothing(t *testing.T) {
+	r := newRand(1)
+	seeds := memoSeeds()
+	// Two passes leave every seed in the memo even if the first pass
+	// started next to a full memo and cleared it partway.
+	for pass := 0; pass < 2; pass++ {
+		for _, seed := range seeds {
+			r.Reseed(seed)
+		}
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.Reseed(seeds[i%len(seeds)])
+		i++
+	}); allocs != 0 {
+		t.Errorf("Reseed allocates %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -55,11 +93,11 @@ func TestNewRandMatchesFreshSource(t *testing.T) {
 // here.
 func TestNewRandClonesAreIndependent(t *testing.T) {
 	for _, seed := range memoSeeds() {
-		a, b := NewRand(seed), NewRand(seed)
+		a, b := newRand(seed), newRand(seed)
 		for i := 0; i < 1000; i++ {
 			a.Int63()
 		}
-		c := NewRand(seed)
+		c := newRand(seed)
 		fresh := rand.New(rand.NewSource(seed))
 		for i := 0; i < 1000; i++ {
 			want := fresh.Int63()
@@ -91,7 +129,7 @@ func TestNewRandConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				seed := int64((i*7+g*13)%distinct) - distinct/2
-				got, fresh := NewRand(seed), rand.New(rand.NewSource(seed))
+				got, fresh := newRand(seed), rand.New(rand.NewSource(seed))
 				for d := 0; d < draws; d++ {
 					if a, b := got.Int63(), fresh.Int63(); a != b {
 						errs <- "seed diverged from a fresh source"

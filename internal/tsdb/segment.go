@@ -129,6 +129,12 @@ func replaySegment(path string, final bool, replay func(int64, []Sample)) (int64
 	if err != nil {
 		return 0, fmt.Errorf("tsdb: read segment: %w", err)
 	}
+	return decodeSegment(data, path, final, replay)
+}
+
+// decodeSegment is replaySegment over the segment's bytes; path only
+// names the segment in errors.
+func decodeSegment(data []byte, path string, final bool, replay func(int64, []Sample)) (int64, error) {
 	if len(data) < len(segmentMagic) || string(data[:len(segmentMagic)]) != segmentMagic {
 		return 0, fmt.Errorf("tsdb: segment %s: bad magic", path)
 	}
