@@ -140,6 +140,19 @@ var committedVerdicts = map[string]string{
 	"recycle/serve-mix/setup_s":          VerdictUnresolved,
 	"recycle/serve-mix/sim_minstr_per_s": VerdictWithin,
 	"recycle/serve-mix/peak_rss_mb":      VerdictWithin,
+
+	"seed/serve-mix/setup_s":          VerdictUnresolved,
+	"seed/serve-mix/sim_minstr_per_s": VerdictGain,
+	"seed/serve-mix/peak_rss_mb":      VerdictWithin,
+	"seed/sim-sweep/setup_s":          VerdictWithin,
+	"seed/sim-sweep/sim_minstr_per_s": VerdictWithin,
+	"seed/sim-sweep/peak_rss_mb":      VerdictWithin,
+	"seed/sim-read/setup_s":           VerdictWithin,
+	"seed/sim-read/sim_minstr_per_s":  VerdictWithin,
+	"seed/sim-read/peak_rss_mb":       VerdictWithin,
+	"seed/sim-write/setup_s":          VerdictWithin,
+	"seed/sim-write/sim_minstr_per_s": VerdictWithin,
+	"seed/sim-write/peak_rss_mb":      VerdictWithin,
 }
 
 // TestJudgeCommittedPairs re-judges every committed perfbench pair
@@ -151,7 +164,7 @@ func TestJudgeCommittedPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	for _, tag := range []string{"construction", "memctrl", "setup", "loop", "recycle"} {
+	for _, tag := range []string{"construction", "memctrl", "setup", "loop", "recycle", "seed"} {
 		parent, err := readDoc(filepath.Join(root, "results", "BENCH_perfbench_"+tag+"_parent.json"))
 		if err != nil {
 			t.Fatal(err)

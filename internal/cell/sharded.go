@@ -68,7 +68,7 @@ func NewShardedPopulation(rcfg drift.Config, level, n int, seed int64, shards, w
 		}
 		sp.shards[i] = popShard{
 			cells:  make([]Cell, sz),
-			rng:    rand.New(rand.NewSource(int64(dist.Splitmix64(uint64(seed) + uint64(i))))),
+			rng:    dist.NewRand(int64(dist.Splitmix64(uint64(seed) + uint64(i)))),
 			offset: offset,
 		}
 		offset += sz

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"sync/atomic"
 
@@ -45,14 +44,14 @@ func (c MCConfig) Validate() error {
 	if c.Cells < 1 {
 		return fmt.Errorf("lifetime: MC cell count %d must be positive", c.Cells)
 	}
-	if c.MedianEndurance <= 0 {
-		return fmt.Errorf("lifetime: MC median endurance %v must be positive", c.MedianEndurance)
+	if !(c.MedianEndurance > 0) || math.IsInf(c.MedianEndurance, 0) {
+		return fmt.Errorf("lifetime: MC median endurance %v must be positive and finite", c.MedianEndurance)
 	}
-	if c.Sigma < 0 {
-		return fmt.Errorf("lifetime: MC sigma %v must be non-negative", c.Sigma)
+	if !(c.Sigma >= 0) || math.IsInf(c.Sigma, 0) {
+		return fmt.Errorf("lifetime: MC sigma %v must be non-negative and finite", c.Sigma)
 	}
-	if c.WearRate <= 0 {
-		return fmt.Errorf("lifetime: MC wear rate %v must be positive", c.WearRate)
+	if !(c.WearRate > 0) || math.IsInf(c.WearRate, 0) {
+		return fmt.Errorf("lifetime: MC wear rate %v must be positive and finite", c.WearRate)
 	}
 	if c.Shards < 1 || c.Shards > c.Cells {
 		return fmt.Errorf("lifetime: MC shard count %d out of range 1..%d", c.Shards, c.Cells)
@@ -112,7 +111,7 @@ func SimulateMCContext(ctx context.Context, cfg MCConfig) (MCResult, error) {
 	}
 	const cancelStride = 1 << 12
 	parallel.ForEach(cfg.Workers, cfg.Shards, func(i int) {
-		rng := rand.New(rand.NewSource(int64(dist.Splitmix64(uint64(cfg.Seed) + uint64(i)))))
+		rng := dist.NewRand(int64(dist.Splitmix64(uint64(cfg.Seed) + uint64(i))))
 		for c := offsets[i]; c < offsets[i+1]; c++ {
 			if (c-offsets[i])%cancelStride == 0 && aborted.Load() {
 				return
@@ -136,10 +135,18 @@ func SimulateMCContext(ctx context.Context, cfg MCConfig) (MCResult, error) {
 		i := int(p * float64(len(lifetimes)-1))
 		return lifetimes[i]
 	}
-	return MCResult{
+	res := MCResult{
 		FirstFailSeconds: lifetimes[0],
 		P01Seconds:       q(0.01),
 		MedianSeconds:    q(0.50),
 		MeanSeconds:      sum / float64(len(lifetimes)),
-	}, nil
+	}
+	// Finite inputs can still overflow: a huge median or sigma, or a
+	// wear rate near the smallest float, makes a lifetime or their sum
+	// +Inf, which no JSON encoder can write. Every lifetime is positive,
+	// so the mean is finite only if every summary value is.
+	if math.IsInf(res.MeanSeconds, 0) {
+		return MCResult{}, fmt.Errorf("lifetime: MC lifetimes overflow (mean %v s); lower the median endurance or sigma, or raise the wear rate", res.MeanSeconds)
+	}
+	return res, nil
 }

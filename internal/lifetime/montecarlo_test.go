@@ -105,6 +105,15 @@ func TestMCConfigValidate(t *testing.T) {
 		func(c *MCConfig) { c.WearRate = 0 },
 		func(c *MCConfig) { c.Shards = 0 },
 		func(c *MCConfig) { c.Shards = 1; c.Cells = 0 },
+		func(c *MCConfig) { c.MedianEndurance = math.NaN() },
+		func(c *MCConfig) { c.MedianEndurance = math.Inf(1) },
+		func(c *MCConfig) { c.Sigma = math.NaN() },
+		func(c *MCConfig) { c.Sigma = math.Inf(1) },
+		func(c *MCConfig) { c.WearRate = math.NaN() },
+		func(c *MCConfig) { c.WearRate = math.Inf(1) },
+		// Finite inputs whose lifetimes overflow to +Inf.
+		func(c *MCConfig) { c.WearRate = 1e-320 },
+		func(c *MCConfig) { c.MedianEndurance = 1e308; c.Sigma = 5 },
 	}
 	for i, mutate := range bad {
 		cfg := mcBase()
@@ -116,5 +125,19 @@ func TestMCConfigValidate(t *testing.T) {
 	cfg := mcBase()
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("base config rejected: %v", err)
+	}
+}
+
+// BenchmarkSimulateMC times one /v1/mc-shaped study: 2000 cells over 64
+// shards on one worker, so seeding 64 streams is a large share of it.
+func BenchmarkSimulateMC(b *testing.B) {
+	cfg := MCConfig{
+		Cells: 2000, MedianEndurance: 1e8, Sigma: 0.25, WearRate: 1e-3,
+		Seed: 1, Shards: 64, Workers: 1,
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := SimulateMC(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -86,6 +86,8 @@ func FuzzDecodeRequest(f *testing.F) {
 		{opPolicy, false, "metric=m&temp=350&e=8&s=640&w=1"},
 		{opMC, false, "cells=1000&shards=4&seed=7&sigma=0.2"},
 		{opMC, false, "cells=100&sseed=3"},
+		{opMC, false, "cells=100&sigma=NaN"},
+		{opPolicy, false, "e=8&s=Inf&w=1"},
 		{opCompare, false, "benchmark=gcc&schemes=Ideal,LWT-4&budget=15000&seed=3"},
 		{opCompare, false, "benchmark=corpus:scan&schemes=lwc:r=16"},
 		{opLER, true, `{"metric":"R","eccs":[8,16],"intervals":[16,64]}`},

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -438,9 +439,9 @@ func (q *queryValues) float(key string, dst *float64) error {
 	if v == "" {
 		return nil
 	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return badf("parameter %s=%q is not a number", key, v)
+	f, ok := parseFinite(v)
+	if !ok {
+		return badf("parameter %s=%q is not a finite number", key, v)
 	}
 	*dst = f
 	return nil
@@ -467,9 +468,9 @@ func (q *queryValues) floatList(key string, dst *[]float64) error {
 	parts := strings.Split(v, ",")
 	out := make([]float64, 0, len(parts))
 	for _, p := range parts {
-		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return badf("parameter %s=%q is not a number list", key, v)
+		f, ok := parseFinite(strings.TrimSpace(p))
+		if !ok {
+			return badf("parameter %s=%q is not a list of finite numbers", key, v)
 		}
 		out = append(out, f)
 	}
@@ -494,6 +495,14 @@ func (q *queryValues) strList(key string, dst *[]string) error {
 }
 
 // --- small helpers ----------------------------------------------------
+
+// parseFinite parses a float and reports whether it is a finite one.
+// strconv.ParseFloat accepts NaN and ±Inf, which pass range checks
+// written as comparisons and which JSON has no way to write.
+func parseFinite(s string) (float64, bool) {
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil && !math.IsNaN(f) && !math.IsInf(f, 0)
+}
 
 func benchNames() []string {
 	// Names covers registered corpus scenarios as well as the built-in

@@ -194,6 +194,19 @@ func TestValidationErrors(t *testing.T) {
 		"/v1/mc?cells=-5",
 		"/v1/compare?benchmark=nope&schemes=ideal",
 		"/v1/compare?benchmark=gcc&schemes=bogus",
+		// NaN and ±Inf parse as floats and pass range checks written as
+		// comparisons; finite MC inputs can overflow to +Inf lifetimes.
+		"/v1/mc?cells=100&sigma=NaN",
+		"/v1/mc?cells=100&median_endurance=Inf",
+		"/v1/mc?cells=100&wear_rate=NaN",
+		"/v1/mc?cells=100&sigma=-Inf",
+		"/v1/mc?cells=100&wear_rate=1e-320",
+		"/v1/mc?cells=100&median_endurance=1e308&sigma=5",
+		"/v1/policy?metric=M&e=8&s=NaN&w=1",
+		"/v1/policy?e=8&s=Inf&w=1",
+		"/v1/policy?e=8&s=16&w=1&temp=NaN",
+		"/v1/ler?metric=R&intervals=NaN&eccs=8",
+		"/v1/ler?metric=R&intervals=16,+Inf&eccs=8",
 	} {
 		resp, body := get(t, ts, path)
 		if resp.StatusCode != http.StatusBadRequest {

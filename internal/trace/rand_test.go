@@ -151,3 +151,13 @@ func TestNewRandConcurrent(t *testing.T) {
 		t.Fatalf("memo holds %d entries, bound is %d", n, seedMemoEntries)
 	}
 }
+
+// BenchmarkReseedHit restarts a stream from a seed the memo holds: a
+// copy of the seeded state, against dist's BenchmarkSourceSeed for a
+// seeding.
+func BenchmarkReseedHit(b *testing.B) {
+	r := newRand(1)
+	for i := 0; i < b.N; i++ {
+		r.Reseed(1)
+	}
+}
