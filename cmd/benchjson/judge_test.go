@@ -153,6 +153,19 @@ var committedVerdicts = map[string]string{
 	"seed/sim-write/setup_s":          VerdictWithin,
 	"seed/sim-write/sim_minstr_per_s": VerdictWithin,
 	"seed/sim-write/peak_rss_mb":      VerdictWithin,
+
+	"mc/serve-mix/setup_s":          VerdictUnresolved,
+	"mc/serve-mix/sim_minstr_per_s": VerdictGain,
+	"mc/serve-mix/peak_rss_mb":      VerdictWithin,
+	"mc/sim-read/setup_s":           VerdictWithin,
+	"mc/sim-read/sim_minstr_per_s":  VerdictWithin,
+	"mc/sim-read/peak_rss_mb":       VerdictWithin,
+	"mc/sim-write/setup_s":          VerdictWithin,
+	"mc/sim-write/sim_minstr_per_s": VerdictWithin,
+	"mc/sim-write/peak_rss_mb":      VerdictWithin,
+	"mc/sim-sweep/setup_s":          VerdictWithin,
+	"mc/sim-sweep/sim_minstr_per_s": VerdictWithin,
+	"mc/sim-sweep/peak_rss_mb":      VerdictWithin,
 }
 
 // TestJudgeCommittedPairs re-judges every committed perfbench pair
@@ -164,7 +177,7 @@ func TestJudgeCommittedPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	for _, tag := range []string{"construction", "memctrl", "setup", "loop", "recycle", "seed"} {
+	for _, tag := range []string{"construction", "memctrl", "setup", "loop", "recycle", "seed", "mc"} {
 		parent, err := readDoc(filepath.Join(root, "results", "BENCH_perfbench_"+tag+"_parent.json"))
 		if err != nil {
 			t.Fatal(err)

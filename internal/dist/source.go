@@ -101,6 +101,12 @@ func mulModM(a, b uint64) uint64 {
 func (s *Source) Seed(seed int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
+	seedWords(&s.vec, chainStart(seed), 0, rngLen)
+}
+
+// chainStart returns the first value of seed's Lehmer chain, as
+// math/rand's seeding reduces it.
+func chainStart(seed int64) uint64 {
 	seed %= lehmerM
 	if seed < 0 {
 		seed += lehmerM
@@ -108,11 +114,16 @@ func (s *Source) Seed(seed int64) {
 	if seed == 0 {
 		seed = lehmerX0
 	}
-	x0 := uint64(seed)
-	for i := range s.vec {
+	return uint64(seed)
+}
+
+// seedWords writes state words [lo, hi) of the source whose chain starts
+// at x0 into vec.
+func seedWords(vec *[rngLen]int64, x0 uint64, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		w := &lehmerPow[i]
 		a, b, c := mulModM(x0, w[0]), mulModM(x0, w[1]), mulModM(x0, w[2])
-		s.vec[i] = int64(a<<40^b<<20^c) ^ rngCooked[i]
+		vec[i] = int64(a<<40^b<<20^c) ^ rngCooked[i]
 	}
 }
 
@@ -136,10 +147,76 @@ func (s *Source) Uint64() uint64 {
 	return uint64(x)
 }
 
-// NewRand returns rand.New(rand.NewSource(seed)), draw for draw, seeded
-// through a Source.
+// lazySource is Source with its seeding spread over its first draws:
+// Seed only records the chain start, and a state word is computed the
+// first time a draw reaches it. Until the feed cursor wraps, draw k
+// (from 1) adds tap word 607−k into feed word 334−k, so both cursors
+// walk down together, 273 words apart, from words 606 and 333. Each
+// time the feed cursor drops below what is computed, grow computes the
+// next lazyChunk feed words and the tap words 273 above them, so a
+// stream that takes n < 334 values seeds about 2n words instead of
+// 607, and one that takes 334 or more has seeded every word, in the
+// same values Source.Seed writes.
+//
+// The trace seed memo keeps the eager Source: a memo entry is copied on
+// every hit, and a copy of a lazy source would redo its seeding.
+type lazySource struct {
+	tap  int
+	feed int
+	// lo is the lowest feed word computed since Seed. Words [lo, 334)
+	// are computed, and so are tap words from lo+273 up; every word is
+	// once lo is 0.
+	lo  int
+	x0  uint64
+	vec [rngLen]int64
+}
+
+// lazyChunk is how many feed words grow computes at a time.
+const lazyChunk = 32
+
+func (s *lazySource) Seed(seed int64) {
+	s.tap = 0
+	s.feed = rngLen - rngTap
+	s.lo = rngLen - rngTap
+	s.x0 = chainStart(seed)
+}
+
+// grow computes the next lazyChunk feed words below lo and the tap words
+// rngTap above them. Tap words below 334 lie in the feed region, which
+// the feed cursor has already computed and drawn into.
+func (s *lazySource) grow() {
+	lo := max(s.lo-lazyChunk, 0)
+	seedWords(&s.vec, s.x0, lo, s.lo)
+	seedWords(&s.vec, s.x0, max(lo+rngTap, rngLen-rngTap), s.lo+rngTap)
+	s.lo = lo
+}
+
+func (s *lazySource) Int63() int64 {
+	return int64(s.Uint64() & rngMask)
+}
+
+func (s *lazySource) Uint64() uint64 {
+	s.tap--
+	if s.tap < 0 {
+		s.tap += rngLen
+	}
+	s.feed--
+	if s.feed < 0 {
+		s.feed += rngLen
+	}
+	if s.feed < s.lo {
+		s.grow()
+	}
+	x := s.vec[s.feed] + s.vec[s.tap]
+	s.vec[s.feed] = x
+	return uint64(x)
+}
+
+// NewRand returns rand.New(rand.NewSource(seed)), draw for draw, over a
+// source that seeds each state word the first time a draw reaches it.
+// (*rand.Rand).Seed restarts it as cheaply, at any point in its stream.
 func NewRand(seed int64) *rand.Rand {
-	s := new(Source)
+	s := new(lazySource)
 	s.Seed(seed)
 	return rand.New(s)
 }

@@ -52,11 +52,30 @@ func checkSameStream(t *testing.T, seed int64, got, want *rand.Rand) {
 	}
 }
 
+// reseededRand returns a NewRand stream that drew warm values from
+// another seed and was then re-seeded with seed, as a pooled stream is.
+// Below 334 draws, the re-seed lands while the lazy source is still
+// growing its state.
+func reseededRand(seed int64, warm int) *rand.Rand {
+	r := NewRand(^seed)
+	for i := 0; i < warm; i++ {
+		r.Int63()
+	}
+	r.Seed(seed)
+	return r
+}
+
+// lazyWarms are draw counts at which a re-seed interrupts the lazy
+// source's growth: before any draw, around its first and second chunk,
+// around the feed cursor's wrap at 334 draws, and after the tap
+// cursor's wrap at 607.
+var lazyWarms = []int{0, 1, lazyChunk - 1, lazyChunk, lazyChunk + 1, 2 * lazyChunk, 333, 334, 335, 1000}
+
 // TestSourceMatchesMathRand: a seeded Source is rand.NewSource's stream,
-// through NewRand, through Seed on a fresh Source, and through Seed on
-// one that has already drawn from another seed.
+// through NewRand, through Seed on a fresh Source, and through the Seed
+// of a NewRand stream that has already drawn from another seed, at any
+// point of its lazy seeding.
 func TestSourceMatchesMathRand(t *testing.T) {
-	used := NewRand(7)
 	for _, seed := range sourceSeeds() {
 		checkSameStream(t, seed, NewRand(seed), rand.New(rand.NewSource(seed)))
 
@@ -64,11 +83,9 @@ func TestSourceMatchesMathRand(t *testing.T) {
 		s.Seed(seed)
 		checkSameStream(t, seed, rand.New(&s), rand.New(rand.NewSource(seed)))
 
-		for i := 0; i < 1000; i++ {
-			sourceRound(used)
+		for _, warm := range lazyWarms {
+			checkSameStream(t, seed, reseededRand(seed, warm), rand.New(rand.NewSource(seed)))
 		}
-		used.Seed(seed)
-		checkSameStream(t, seed, used, rand.New(rand.NewSource(seed)))
 	}
 }
 
@@ -106,7 +123,7 @@ func TestSourceSeedAllocatesNothing(t *testing.T) {
 }
 
 // TestSourceSeedConcurrent seeds Sources from several goroutines at
-// once, as MC shards do with more than one worker; the shared tables are
+// once, as concurrent trace seed memo misses do; the shared tables are
 // only read. Run it under -race.
 func TestSourceSeedConcurrent(t *testing.T) {
 	seeds := sourceSeeds()
@@ -131,14 +148,19 @@ func TestSourceSeedConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// FuzzSourceMatchesMathRand compares a Source with math/rand's source
-// over arbitrary seeds.
+// FuzzSourceMatchesMathRand compares NewRand, an eagerly seeded Source
+// and a NewRand stream re-seeded after warm draws with math/rand's
+// source over arbitrary seeds.
 func FuzzSourceMatchesMathRand(f *testing.F) {
-	for _, seed := range sourceSeeds() {
-		f.Add(seed)
+	for i, seed := range sourceSeeds() {
+		f.Add(seed, uint16(lazyWarms[i%len(lazyWarms)]))
 	}
-	f.Fuzz(func(t *testing.T, seed int64) {
+	f.Fuzz(func(t *testing.T, seed int64, warm uint16) {
 		checkSameStream(t, seed, NewRand(seed), rand.New(rand.NewSource(seed)))
+		var s Source
+		s.Seed(seed)
+		checkSameStream(t, seed, rand.New(&s), rand.New(rand.NewSource(seed)))
+		checkSameStream(t, seed, reseededRand(seed, int(warm)), rand.New(rand.NewSource(seed)))
 	})
 }
 

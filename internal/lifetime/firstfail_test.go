@@ -17,7 +17,7 @@ func minQuantile(cfg MCConfig, q float64) float64 {
 
 // TestFirstFailOrderStatistic pins FirstFailSeconds to its closed-form
 // sampling distribution. The aggregate quantiles (median, p01, mean) are
-// covered by TestSimulateMCMatchesLognormalTheory; the first failure is
+// covered by TestMCMatchesLognormalTheory; the first failure is
 // the one statistic those checks cannot reach — it is an extreme order
 // statistic, four sigma into the per-cell tail for this population size —
 // and it is also the quantity the hard-error analysis actually consumes

@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
-	"sync/atomic"
+	"math/rand"
+	"sync"
 
 	"readduo/internal/dist"
 	"readduo/internal/parallel"
@@ -76,45 +76,33 @@ func SimulateMC(cfg MCConfig) (MCResult, error) {
 	return SimulateMCContext(context.Background(), cfg)
 }
 
+// shardRands holds shard streams between uses. A shard re-seeds the one
+// it takes, so a stream's history never reaches a result.
+var shardRands = sync.Pool{New: func() any { return dist.NewRand(0) }}
+
+// cancelStride is how many cells a shard draws between polls of its
+// context.
+const cancelStride = 1 << 12
+
 // SimulateMCContext is SimulateMC with cooperative cancellation: each
-// shard polls a shared abort flag every few thousand cells and bails out,
-// so a cancelled request stops burning cores within microseconds. Results
-// are identical to SimulateMC when ctx is never cancelled — the abort
-// flag never perturbs the RNG sub-streams.
+// shard polls ctx when it starts and every cancelStride cells, and bails
+// out once ctx is done, so a cancelled request stops burning cores
+// within microseconds. Results are identical to SimulateMC when ctx is
+// never cancelled: polling never perturbs the RNG sub-streams.
 func SimulateMCContext(ctx context.Context, cfg MCConfig) (MCResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return MCResult{}, err
 	}
 	lifetimes := make([]float64, cfg.Cells)
+	// Shard i holds base cells, plus one more for the first extra shards.
 	base, extra := cfg.Cells/cfg.Shards, cfg.Cells%cfg.Shards
-	offsets := make([]int, cfg.Shards+1)
-	for i := 0; i < cfg.Shards; i++ {
-		sz := base
-		if i < extra {
-			sz++
-		}
-		offsets[i+1] = offsets[i] + sz
-	}
-	// One goroutine flips the flag on cancellation; shard bodies only
-	// ever load it, so the fan-out stays contention-free.
-	var aborted atomic.Bool
-	if ctx.Done() != nil {
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-ctx.Done():
-				aborted.Store(true)
-			case <-watchDone:
-			}
-		}()
-	}
-	const cancelStride = 1 << 12
 	parallel.ForEach(cfg.Workers, cfg.Shards, func(i int) {
-		rng := dist.NewRand(int64(dist.Splitmix64(uint64(cfg.Seed) + uint64(i))))
-		for c := offsets[i]; c < offsets[i+1]; c++ {
-			if (c-offsets[i])%cancelStride == 0 && aborted.Load() {
-				return
+		lo, hi := i*base+min(i, extra), (i+1)*base+min(i+1, extra)
+		rng := shardRands.Get().(*rand.Rand)
+		rng.Seed(int64(dist.Splitmix64(uint64(cfg.Seed) + uint64(i))))
+		for c := lo; c < hi; c++ {
+			if (c-lo)%cancelStride == 0 && ctx.Err() != nil {
+				break
 			}
 			endurance := cfg.MedianEndurance * math.Exp(cfg.Sigma*rng.NormFloat64())
 			if endurance < 1 {
@@ -122,11 +110,12 @@ func SimulateMCContext(ctx context.Context, cfg MCConfig) (MCResult, error) {
 			}
 			lifetimes[c] = endurance / cfg.WearRate
 		}
+		shardRands.Put(rng)
 	})
 	if err := ctx.Err(); err != nil {
 		return MCResult{}, fmt.Errorf("lifetime: MC aborted: %w", err)
 	}
-	sort.Float64s(lifetimes)
+	sortLifetimes(lifetimes)
 	var sum float64
 	for _, v := range lifetimes {
 		sum += v

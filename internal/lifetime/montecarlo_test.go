@@ -1,7 +1,10 @@
 package lifetime
 
 import (
+	"context"
+	"errors"
 	"math"
+	"sync"
 	"testing"
 	"time"
 )
@@ -128,13 +131,86 @@ func TestMCConfigValidate(t *testing.T) {
 	}
 }
 
+// TestMCContextCancelled: a context that is done before the study starts,
+// by cancellation or by its deadline, fails the study with an error
+// that wraps the context's.
+func TestMCContextCancelled(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	for _, ctx := range []context.Context{cancelled, expired} {
+		res, err := SimulateMCContext(ctx, mcBase())
+		if !errors.Is(err, ctx.Err()) {
+			t.Errorf("context done with %v: got %+v, %v; want an error wrapping the context's", ctx.Err(), res, err)
+		}
+	}
+}
+
+// TestSimulateMCConcurrentPooled runs studies from several goroutines at
+// once, so shard streams pass between studies through the pool while
+// others draw; each result must equal its serial one. Run it under
+// -race.
+func TestSimulateMCConcurrentPooled(t *testing.T) {
+	cfgs := make([]MCConfig, 8)
+	want := make([]MCResult, len(cfgs))
+	for i := range cfgs {
+		cfgs[i] = MCConfig{
+			Cells: 500 + 700*i, MedianEndurance: 1e8, Sigma: 0.25, WearRate: 1e-3,
+			Seed: int64(i), Shards: 1 + 9*i, Workers: 1,
+		}
+		var err error
+		if want[i], err = SimulateMC(cfgs[i]); err != nil {
+			t.Fatal(err)
+		}
+		cfgs[i].Workers = 0
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				for j := range cfgs {
+					i := (j + g) % len(cfgs)
+					if got, err := SimulateMC(cfgs[i]); err != nil || got != want[i] {
+						t.Errorf("goroutine %d, study %d: %+v, %v; serial %+v", g, i, got, err, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestSimulateMCAllocs: a /v1/mc-shaped study allocates its lifetimes
+// and a constant few objects more, not a stream per shard.
+func TestSimulateMCAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	cfg := MCConfig{
+		Cells: 2000, MedianEndurance: 1e8, Sigma: 0.25, WearRate: 1e-3,
+		Seed: 1, Shards: 64, Workers: 1,
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := SimulateMC(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 4 {
+		t.Errorf("a 2,000-cell, 64-shard study allocates %.1f times, want at most 4", allocs)
+	}
+}
+
 // BenchmarkSimulateMC times one /v1/mc-shaped study: 2000 cells over 64
-// shards on one worker, so seeding 64 streams is a large share of it.
+// shards on one worker.
 func BenchmarkSimulateMC(b *testing.B) {
 	cfg := MCConfig{
 		Cells: 2000, MedianEndurance: 1e8, Sigma: 0.25, WearRate: 1e-3,
 		Seed: 1, Shards: 64, Workers: 1,
 	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := SimulateMC(cfg); err != nil {
 			b.Fatal(err)
