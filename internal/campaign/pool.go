@@ -15,12 +15,12 @@ var ErrSaturated = errors.New("campaign: worker pool saturated")
 // ErrPoolClosed is returned by submissions racing Close.
 var ErrPoolClosed = errors.New("campaign: worker pool closed")
 
-// Pool is the bounded worker pool behind both campaign.Run and the query
-// service (internal/server): a fixed worker count draining a bounded task
-// queue. Two admission disciplines are offered — the blocking Submit the
-// batch engine uses (the producer *is* the backpressure) and the
-// non-blocking TrySubmit a request handler uses (a full queue must fail
-// fast, not stall the client).
+// Pool is the bounded worker pool behind the query service
+// (internal/server): a fixed worker count draining a bounded task queue.
+// Two admission disciplines are offered — the blocking Submit (the
+// producer *is* the backpressure) and the non-blocking TrySubmit a request
+// handler uses (a full queue must fail fast, not stall the client).
+// campaign.Run needs no queue: its workers claim jobs from a counter.
 type Pool struct {
 	tasks chan poolTask
 

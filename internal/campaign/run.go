@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"readduo/internal/sim"
@@ -12,18 +14,19 @@ import (
 
 // Options tunes a campaign run.
 type Options struct {
-	// Parallel is the worker-pool size; <= 0 selects GOMAXPROCS.
+	// Parallel is the worker count; <= 0 selects GOMAXPROCS. The caller's
+	// goroutine is worker 0, so Parallel 1 starts no goroutine.
 	Parallel int
 	// Journal, when non-nil, receives every completed job record.
 	Journal *Journal
 	// Completed holds journal records from a previous run, keyed by job
 	// key; matching jobs are reused instead of re-executed.
 	Completed map[string]Record
-	// Progress, when non-nil, receives a one-line status update every
-	// progressEvery.
+	// Progress, when non-nil, receives a one-line status update at the
+	// first job completion after each progressEvery.
 	Progress func(format string, args ...any)
 	// Telemetry, when non-nil, receives campaign-level probes (job
-	// outcomes, queue wait, wall time) under the "campaign" scope and is
+	// outcomes, wall time) under the "campaign" scope and is
 	// threaded into every job's sim.Config. When a Journal is also set,
 	// the run stamps a counter summary into it at drain so resumed
 	// campaigns can report cumulative statistics.
@@ -48,7 +51,6 @@ type campaignProbes struct {
 	jobsPanic   *telemetry.Counter
 	jobsResumed *telemetry.Counter
 	wallMS      *telemetry.Histogram // per-job execution wall time
-	queueWaitMS *telemetry.Histogram // enqueue -> worker pickup latency
 }
 
 func newCampaignProbes(reg *telemetry.Registry) campaignProbes {
@@ -59,7 +61,6 @@ func newCampaignProbes(reg *telemetry.Registry) campaignProbes {
 		jobsPanic:   s.Counter("jobs.panic"),
 		jobsResumed: s.Counter("jobs.resumed"),
 		wallMS:      s.Histogram("job.wall_ms"),
-		queueWaitMS: s.Histogram("job.queue_wait_ms"),
 	}
 }
 
@@ -81,10 +82,12 @@ type Outcome struct {
 	Elapsed time.Duration
 }
 
-// Run executes the campaign. Cancelling ctx triggers a graceful drain:
-// in-flight jobs finish and are journaled, queued jobs are abandoned, and
-// the Outcome reports Interrupted. The returned error covers setup problems
-// only; per-job failures are Records with StatusFailed.
+// Run executes the campaign. Each worker claims the next pending job from
+// a shared counter and runs it; a worker that finds ctx cancelled claims no
+// more, so cancelling ctx triggers a graceful drain: in-flight jobs finish
+// and are journaled, unclaimed jobs are abandoned, and the Outcome reports
+// Interrupted. The returned error covers setup problems only; per-job
+// failures are Records with StatusFailed.
 func Run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -105,17 +108,20 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 	// Satisfy jobs from the previous journal first. A record only counts
 	// if its derived seed still matches — a stale journal entry (e.g. from
 	// a spec whose fingerprint collided) must re-run, not corrupt results.
-	var pending []Job
-	for _, job := range jobs {
-		if rec, ok := opts.Completed[job.Key()]; ok &&
-			rec.Status == StatusOK && rec.Result != nil && rec.Seed == job.Seed {
-			rec.Index = job.Index
-			out.Records[job.Index] = rec
-			out.Done++
-			out.Resumed++
-			continue
+	pending := jobs
+	if len(opts.Completed) > 0 {
+		pending = nil
+		for _, job := range jobs {
+			if rec, ok := opts.Completed[job.Key()]; ok &&
+				rec.Status == StatusOK && rec.Result != nil && rec.Seed == job.Seed {
+				rec.Index = job.Index
+				out.Records[job.Index] = rec
+				out.Done++
+				out.Resumed++
+				continue
+			}
+			pending = append(pending, job)
 		}
-		pending = append(pending, job)
 	}
 	if out.Resumed > 0 {
 		progress("campaign: resumed %d/%d jobs from journal", out.Resumed, len(jobs))
@@ -124,63 +130,63 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 
 	// jobCtx is what executing simulations observe: the run context when
 	// the caller asked for in-flight cancellation, an unbounded context
-	// for the classic drain (cancel stops the feed, running jobs finish).
+	// for the classic drain (cancel stops the claims, running jobs finish).
 	jobCtx := context.Background()
 	if opts.CancelInFlight {
 		jobCtx = ctx
 	}
-	// The scheduling substrate is the shared Pool (also the serving
-	// layer's engine): an unbuffered queue, so the producer below blocks
-	// until a worker frees up and a context cancellation abandons exactly
-	// the jobs that never reached a worker.
-	pool := NewPool(parallel, 0, func(d time.Duration) {
-		tel.queueWaitMS.Observe(uint64(d.Milliseconds()))
-	})
-	recCh := make(chan Record)
-	go func() {
-		for _, job := range pending {
-			job := job
-			err := pool.Submit(ctx, func(worker int) {
-				recCh <- runJob(jobCtx, spec, job, worker, tel, opts)
-			})
-			if err != nil {
-				break // context cancelled: abandon the rest of the queue
-			}
+	// finish stores one record and runs everything that follows a job,
+	// in completion order under mu: the outcome counters, the journal
+	// append and the progress line.
+	var (
+		mu           sync.Mutex
+		executed     int
+		journalErr   error
+		lastProgress = start
+	)
+	finish := func(rec Record) {
+		mu.Lock()
+		defer mu.Unlock()
+		out.Records[rec.Index] = rec
+		executed++
+		if rec.Status == StatusOK {
+			out.Done++
+			tel.jobsOK.Inc()
+		} else {
+			out.Failed++
+			tel.jobsFailed.Inc()
+			progress("campaign: job %s failed: %s", rec.Key, rec.Error)
 		}
-		pool.Close()
-		close(recCh)
-	}()
-
-	ticker := time.NewTicker(progressEvery)
-	defer ticker.Stop()
-	started := out.Done
-	var journalErr error
-	for recCh != nil {
-		select {
-		case rec, ok := <-recCh:
-			if !ok {
-				recCh = nil
-				continue
-			}
-			out.Records[rec.Index] = rec
-			started++
-			if rec.Status == StatusOK {
-				out.Done++
-				tel.jobsOK.Inc()
-			} else {
-				out.Failed++
-				tel.jobsFailed.Inc()
-				progress("campaign: job %s failed: %s", rec.Key, rec.Error)
-			}
-			if opts.Journal != nil && journalErr == nil {
-				journalErr = opts.Journal.Append(rec)
-			}
-		case <-ticker.C:
+		if opts.Journal != nil && journalErr == nil {
+			journalErr = opts.Journal.Append(rec)
+		}
+		if now := time.Now(); now.Sub(lastProgress) >= progressEvery {
+			lastProgress = now
 			progress("campaign: %d/%d jobs done (%d failed), %d workers, %s elapsed",
-				out.Done, len(jobs), out.Failed, parallel,
-				time.Since(start).Round(time.Millisecond))
+				out.Done, len(jobs), out.Failed, parallel, now.Sub(start).Round(time.Millisecond))
 		}
 	}
+	var next atomic.Int64
+	work := func(worker int) {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= len(pending) {
+				return
+			}
+			finish(runJob(jobCtx, spec, pending[i], worker, tel, opts))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(parallel, len(pending)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+
 	out.Remaining = len(jobs) - out.Done - out.Failed
 	out.Interrupted = ctx.Err() != nil && out.Remaining > 0
 	out.Elapsed = time.Since(start)
@@ -197,7 +203,6 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 		// a crash between campaign completion and process exit must not
 		// lose records Close would otherwise have flushed.
 		if opts.Telemetry != nil {
-			executed := started - out.Resumed
 			journalErr = opts.Journal.AppendTelemetry(
 				SummaryFromSnapshot(opts.Telemetry.Snapshot(), executed, time.Now().Unix()))
 		}
@@ -243,7 +248,7 @@ func runJob(ctx context.Context, spec Spec, job Job, worker int, tel campaignPro
 	cfg.Seed = job.Seed
 	cfg.Telemetry = opts.Telemetry
 	if spec.Configure != nil {
-		spec.Configure(job, &cfg)
+		cfg = configured(spec.Configure, job, cfg)
 	}
 	res, err := sim.RunContext(ctx, cfg, job.Scheme)
 	if err != nil {
@@ -254,4 +259,12 @@ func runJob(ctx context.Context, spec Spec, job Job, worker int, tel campaignPro
 	rec.Status = StatusOK
 	rec.Result = res
 	return rec
+}
+
+// configured returns cfg as configure leaves it. A Config whose address
+// reaches a hook escapes to the heap, so only a job whose spec has a
+// Configure hook pays that allocation.
+func configured(configure func(Job, *sim.Config), job Job, cfg sim.Config) sim.Config {
+	configure(job, &cfg)
+	return cfg
 }

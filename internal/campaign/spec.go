@@ -3,6 +3,7 @@ package campaign
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 
 	"readduo/internal/dist"
 	"readduo/internal/sim"
@@ -23,8 +24,8 @@ type Spec struct {
 	// simulator default.
 	Budget uint64
 	// Configure, when non-nil, post-processes each job's configuration
-	// (trace replay, ablation overrides). It runs on worker goroutines and
-	// must be safe for concurrent calls.
+	// (trace replay, ablation overrides). It runs on the worker that
+	// claimed the job and must be safe for concurrent calls.
 	Configure func(Job, *sim.Config)
 }
 
@@ -43,7 +44,7 @@ type Job struct {
 
 // Key names the job uniquely within its campaign, stably across resumes.
 func (j Job) Key() string {
-	return fmt.Sprintf("s%d/%s/%s", j.SeedIndex, j.Benchmark.Name, j.Scheme.Name())
+	return "s" + strconv.Itoa(j.SeedIndex) + "/" + j.Benchmark.Name + "/" + j.Scheme.Name()
 }
 
 // JobSeed derives the deterministic per-job simulation seed from a campaign

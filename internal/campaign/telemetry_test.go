@@ -27,9 +27,6 @@ func TestRunWithTelemetry(t *testing.T) {
 	if got := snap.Histograms["campaign.job.wall_ms"].Count; got != jobs {
 		t.Errorf("wall_ms observations = %d, want %d", got, jobs)
 	}
-	if got := snap.Histograms["campaign.job.queue_wait_ms"].Count; got != jobs {
-		t.Errorf("queue_wait_ms observations = %d, want %d", got, jobs)
-	}
 	// The registry reached the engines: demand reads were counted.
 	if snap.Counters["sim.read.r"]+snap.Counters["sim.read.m"] == 0 {
 		t.Error("no engine read probes fired through Options.Telemetry")

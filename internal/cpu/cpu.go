@@ -131,30 +131,48 @@ type Cluster struct {
 
 // NewCluster builds the cluster and primes each core's first access.
 func NewCluster(cfg Config, src Source) (*Cluster, error) {
-	if err := cfg.Validate(); err != nil {
+	cl := new(Cluster)
+	if err := cl.Reset(cfg, src); err != nil {
 		return nil, err
-	}
-	if src == nil {
-		return nil, fmt.Errorf("cpu: nil trace source")
-	}
-	cl := &Cluster{
-		cfg:       cfg,
-		src:       src,
-		cores:     make([]core, cfg.Cores),
-		cycPS:     int64(1000/cfg.FreqGHz + 0.5),
-		runAt:     make([]int64, cfg.Cores),
-		stallAt:   make([]int64, cfg.Cores),
-		waitIDs:   make([]uint64, 0, cfg.Cores*cfg.MLP),
-		waitCores: make([]int, 0, cfg.Cores*cfg.MLP),
-	}
-	for i := range cl.cores {
-		cl.runAt[i], cl.stallAt[i] = never, never
-		if err := cl.fetch(i, 0); err != nil {
-			return nil, err
-		}
 	}
 	return cl, nil
 }
+
+// Reset re-initializes cl as NewCluster(cfg, src) builds a cluster. It
+// keeps the capacity of cl's per-core and outstanding-read slices and
+// zeroes everything else; NewCluster is the case of a zero Cluster.
+func (cl *Cluster) Reset(cfg Config, src Source) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if src == nil {
+		return fmt.Errorf("cpu: nil trace source")
+	}
+	n, window := cfg.Cores, cfg.Cores*cfg.MLP
+	*cl = Cluster{
+		cfg:       cfg,
+		src:       src,
+		cores:     slices.Grow(cl.cores[:0], n)[:n],
+		cycPS:     int64(1000/cfg.FreqGHz + 0.5),
+		runAt:     slices.Grow(cl.runAt[:0], n)[:n],
+		stallAt:   slices.Grow(cl.stallAt[:0], n)[:n],
+		waitIDs:   slices.Grow(cl.waitIDs[:0], window),
+		waitCores: slices.Grow(cl.waitCores[:0], window),
+	}
+	clear(cl.cores)
+	for i := range cl.cores {
+		cl.runAt[i], cl.stallAt[i] = never, never
+		if err := cl.fetch(i, 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Release drops cl's reference to its Source, so a cluster kept for a
+// later Reset holds none of its caller's memory. cl must be Reset before
+// it runs again.
+func (cl *Cluster) Release() { cl.src = nil }
 
 // recompute refreshes the cached deadlines from the two arrays.
 func (cl *Cluster) recompute() {

@@ -19,10 +19,11 @@ func radixKey(x float64) uint64 {
 
 // sortLifetimes sorts a ascending in place, as slices.Sort does for
 // slices without NaN, by an American-flag MSD radix sort on the values'
-// bit patterns. Digits are bytes, from the highest byte in which any two
-// keys differ down to byte 0, and buckets under radixInsertion values are
-// finished by insertion sort, so every bucket costs O(n) per digit and no
-// input goes quadratic. It needs no scratch buffer.
+// bit patterns. Digits run from the highest bit in which any two keys
+// differ down to bit 0. Each bucket's digit is sized to the bucket, up to
+// 8 bits, so a pass costs O(n) in both its values and its buckets;
+// buckets under radixInsertion values are finished by insertion sort, so
+// no input goes quadratic. It needs no scratch buffer.
 func sortLifetimes(a []float64) {
 	if len(a) < 2 {
 		return
@@ -35,50 +36,54 @@ func sortLifetimes(a []float64) {
 	if diff == 0 {
 		return
 	}
-	radixSort(a, uint(63-bits.LeadingZeros64(diff))&^7)
+	radixSort(a, uint(bits.Len64(diff)))
 }
 
-// radixSort sorts a, whose keys agree on every byte above the one at
-// shift, on that byte and then each bucket on the bytes below it.
-func radixSort(a []float64, shift uint) {
+// radixSort sorts a, whose keys agree on every bit from top up, on a
+// digit just below top, one bit narrower than len(a) and at most a byte
+// wide, and then each bucket on the bits below that digit.
+func radixSort(a []float64, top uint) {
 	if len(a) < radixInsertion {
 		insertionSort(a)
 		return
 	}
+	shift := top - min(uint(bits.Len(uint(len(a))))-1, 8, top)
 	var end [256]int
-	radixPermute(a, shift, &end)
+	buckets := radixPermute(a, shift, top, &end)
 	if shift == 0 {
 		return
 	}
 	start := 0
-	for _, e := range end {
+	for _, e := range end[:buckets] {
 		if e-start > 1 {
-			radixSort(a[start:e], shift-8)
+			radixSort(a[start:e], shift)
 		}
 		start = e
 	}
 }
 
-// radixPermute moves every value of a into the bucket of its key's byte
-// at shift, in bucket order, and leaves in end[d] the end of bucket d.
-// Each displaced value is carried to the next free slot of its own
-// bucket, so every value moves at most once.
-func radixPermute(a []float64, shift uint, end *[256]int) {
+// radixPermute moves every value of a into the bucket of its key's bits
+// [shift, top), in bucket order, leaves in end[d] the end of bucket d and
+// returns the bucket count. Each displaced value is carried to the next
+// free slot of its own bucket, so every value moves at most once.
+func radixPermute(a []float64, shift, top uint, end *[256]int) int {
+	buckets := 1 << (top - shift)
+	mask := uint64(buckets - 1)
 	for _, x := range a {
-		end[byte(radixKey(x)>>shift)]++
+		end[radixKey(x)>>shift&mask]++
 	}
 	var next [256]int
 	sum := 0
-	for d, n := range end {
+	for d, n := range end[:buckets] {
 		next[d] = sum
 		sum += n
 		end[d] = sum
 	}
-	for d := range next {
+	for d := range next[:buckets] {
 		for i := next[d]; i < end[d]; i = next[d] {
 			x := a[i]
 			for {
-				e := byte(radixKey(x) >> shift)
+				e := radixKey(x) >> shift & mask
 				if int(e) == d {
 					break
 				}
@@ -90,6 +95,7 @@ func radixPermute(a []float64, shift uint, end *[256]int) {
 			next[d]++
 		}
 	}
+	return buckets
 }
 
 // insertionSort sorts a short slice in place.

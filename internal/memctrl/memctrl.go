@@ -280,10 +280,21 @@ type Controller struct {
 
 	// minAt caches the minimum over busyUntil and scrubAt. A dispatch can
 	// only lower it and does so in place; every other deadline change that
-	// may raise it clears minValid, and NextEventAt and AdvanceTo rescan on
-	// demand.
+	// may raise it clears minValid, and NextEventAt rescans on demand.
+	// AdvanceTo rescans (due) before each event it processes, since it
+	// needs the event's bank as well.
 	minAt    int64
 	minValid bool
+	// scrubMin caches the earliest scrub arrival and scrubMinBank its
+	// bank, the lowest of tied banks. Only a scrub arrival moves a scrub
+	// deadline, so it alone clears scrubMinValid and due rescans scrubAt
+	// only then.
+	scrubMin      int64
+	scrubMinBank  int
+	scrubMinValid bool
+	// bankMask is Banks-1 when Banks is a power of two, so BankOf masks
+	// instead of dividing; 0 otherwise.
+	bankMask uint64
 }
 
 // NewController builds a controller. The energy accounting sink is
@@ -317,6 +328,9 @@ func (c *Controller) Reset(cfg Config, acct *energy.Accounting, hook ScrubHook) 
 	}
 	*c = Controller{cfg: cfg, hook: hook, acct: acct, banks: banks,
 		busyUntil: busyUntil, scrubAt: scrubAt, completions: c.completions[:0]}
+	if n := uint64(cfg.Banks); n&(n-1) == 0 {
+		c.bankMask = n - 1
+	}
 	linesPerBank := cfg.TotalLines / uint64(cfg.Banks)
 	for i := range c.banks {
 		b := &c.banks[i]
@@ -337,14 +351,35 @@ func (c *Controller) Reset(cfg Config, acct *energy.Accounting, hook ScrubHook) 
 // replay); new code need not call it.
 func (c *Controller) Close() {}
 
-// recomputeMin refreshes the cached minimum deadline. It runs only after
-// a deadline changed; steady-state NextEventAt/AdvanceTo polling is O(1).
-func (c *Controller) recomputeMin() {
-	at := int64(never)
-	for i, busy := range c.busyUntil {
-		at = min(at, busy, c.scrubAt[i])
+// due refreshes the cached minimum deadline and returns the bank whose
+// event it is, and whether that event is a scrub arrival, in one forward
+// scan of busyUntil (and of scrubAt after a scrub arrival). A completion
+// goes before a tied scrub arrival, tied completions from the highest
+// bank down, tied scrub arrivals from the lowest bank up. With no event at
+// all the minimum is never.
+func (c *Controller) due() (bank int, scrub bool) {
+	if !c.scrubMinValid {
+		scrubAt, scrubIdx := int64(never), 0
+		for i, at := range c.scrubAt {
+			if at < scrubAt {
+				scrubAt, scrubIdx = at, i
+			}
+		}
+		c.scrubMin, c.scrubMinBank, c.scrubMinValid = scrubAt, scrubIdx, true
 	}
-	c.minAt, c.minValid = at, true
+	busyAt, busyIdx := int64(never), 0
+	for i, at := range c.busyUntil {
+		if at <= busyAt {
+			busyAt, busyIdx = at, i
+		}
+	}
+	c.minValid = true
+	if busyAt <= c.scrubMin {
+		c.minAt = busyAt
+		return busyIdx, false
+	}
+	c.minAt = c.scrubMin
+	return c.scrubMinBank, true
 }
 
 // Now returns the controller's current time (ps): the target of the last
@@ -357,7 +392,12 @@ func (c *Controller) Now() int64 { return c.now }
 func (c *Controller) Stats() Stats { return c.stats }
 
 // BankOf maps a line address to its bank.
-func (c *Controller) BankOf(line uint64) int { return int(line % uint64(c.cfg.Banks)) }
+func (c *Controller) BankOf(line uint64) int {
+	if c.bankMask != 0 {
+		return int(line & c.bankMask)
+	}
+	return int(line % uint64(c.cfg.Banks))
+}
 
 // EnqueueRead submits a demand read of the given sensing mode; the
 // completion surfaces from AdvanceTo. Reads may cancel an in-flight write
@@ -404,7 +444,7 @@ func (c *Controller) WriteQueueSpace(line uint64) int {
 // the cached minimum; a rescan only happens after a deadline changed.
 func (c *Controller) NextEventAt() (int64, bool) {
 	if !c.minValid {
-		c.recomputeMin()
+		c.due()
 	}
 	if c.minAt == never {
 		return 0, false
@@ -420,23 +460,11 @@ func (c *Controller) NextEventAt() (int64, bool) {
 // bank down, tied scrub arrivals are admitted from the lowest bank up.
 func (c *Controller) AdvanceTo(t int64, comps []Completion) []Completion {
 	c.completions = comps[:0]
-	for {
-		if !c.minValid {
-			c.recomputeMin()
-		}
+	for !c.minValid || c.minAt <= t {
+		i, isScrub := c.due()
 		at := c.minAt
 		if at > t || at == never { // never is beyond any t, MaxInt64 included
 			break
-		}
-		// at is the minimum over both arrays, so one of the scans finds it.
-		i := len(c.busyUntil) - 1
-		for i >= 0 && c.busyUntil[i] != at {
-			i--
-		}
-		isScrub := i < 0
-		if isScrub {
-			for i = 0; c.scrubAt[i] != at; i++ {
-			}
 		}
 		b := &c.banks[i]
 		c.now = max(c.now, at)
@@ -454,7 +482,9 @@ func (c *Controller) AdvanceTo(t int64, comps []Completion) []Completion {
 // scrubArrive registers the next due scrub visit as pending work.
 func (c *Controller) scrubArrive(b *bank) {
 	line := b.scrubCursor*uint64(c.cfg.Banks) + uint64(b.idx)
-	b.scrubCursor = (b.scrubCursor + 1) % b.linesInBank
+	if b.scrubCursor++; b.scrubCursor == b.linesInBank {
+		b.scrubCursor = 0
+	}
 	act := c.hook.OnScrub(c.now, line)
 	if act.ReadLatency <= 0 {
 		act.ReadLatency = c.cfg.Timing.MRead
@@ -469,7 +499,7 @@ func (c *Controller) scrubArrive(b *bank) {
 		enqueuedAt: c.now, rewriteAfter: act.Rewrite, rewriteCells: int32(act.CellsWritten),
 	})
 	c.scrubAt[b.idx] += b.scrubPeriod
-	c.minValid = false
+	c.minValid, c.scrubMinValid = false, false
 }
 
 // complete retires the bank's in-flight op.

@@ -198,14 +198,14 @@ func (e *Engine) hybridRead(now int64, phys uint64) sense.Mode {
 	if s := e.lastScrubAt(phys, now); s > last {
 		last = s
 	}
-	age := e.ageSeconds(now, last)
 	u := e.rng.Float64()
-	if u < e.rProbs.Silent(age) {
+	silent, retry := e.rProbs.silentRetry(e.ageSeconds(now, last))
+	if u < silent {
 		e.stats.silentErrors++
 		e.tel.silentError.Inc()
 		return sense.ModeR // wrong data returned; counted, not felt
 	}
-	if u < e.rProbs.Silent(age)+e.rProbs.Retry(age) {
+	if u < silent+retry {
 		e.stats.hybridRetries++
 		e.tel.hybridRetry.Inc()
 		return sense.ModeRM
@@ -296,7 +296,7 @@ func (e *Engine) selectWrite(now int64, phys uint64) (int, bool) {
 func (e *Engine) lwcWrite(phys uint64) (int, bool) {
 	if _, ok := e.lastWrite.Get(phys); !ok {
 		// First touch: program the whole line, local parities included.
-		return e.scheme.lineCells(e.cfg), true
+		return e.lineCells, true
 	}
 	// Local rewrite: expected changed data cells plus one parity per
 	// touched group — lwc.ExpectedUpdateCost at the engine's geometry.

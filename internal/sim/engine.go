@@ -127,6 +127,12 @@ type Engine struct {
 	// recordScrubRewrites notes scrub rewrites in lastWrite even for
 	// untouched lines (Design.recordsScrubRewrites).
 	recordScrubRewrites bool
+	// flagBits is the design's per-line tracking cost a full demand write
+	// charges (Design.flagBits), 0 for an untracked design.
+	flagBits int
+	// lineMask is TotalLines-1 when TotalLines is a power of two, so
+	// physLine masks instead of dividing; 0 otherwise.
+	lineMask uint64
 
 	// Line state: physical line -> last full write time (ps, possibly
 	// far negative for pre-window writes). An open-addressing flat table
@@ -263,17 +269,19 @@ func newEngine(cfg Config, scheme Scheme) (*Engine, error) {
 
 // empty readies a finished engine for enginePool. It keeps only what
 // init rebuilds in place: the engine's and its generator's stream
-// sources, the controller, the line tables and the converted-line map
-// (cleared) and the completion scratch. Every other field is zeroed, so
-// a pooled engine holds no reference to the caller's Source or Telemetry
-// and none to a shared probability table.
+// sources, the controller, the CPU cluster (released from its Source),
+// the line tables and the converted-line map (cleared) and the
+// completion scratch. Every other field is zeroed, so a pooled engine
+// holds no reference to the caller's Source or Telemetry and none to a
+// shared probability table.
 func (e *Engine) empty() {
 	e.lastWrite.Reset()
 	if e.readCounts != nil {
 		e.readCounts.Reset()
 	}
 	clear(e.convertedLines)
-	*e = Engine{rng: e.rng, gen: e.gen, ctrl: e.ctrl, comps: e.comps[:0],
+	e.cluster.Release()
+	*e = Engine{rng: e.rng, gen: e.gen, ctrl: e.ctrl, cluster: e.cluster, comps: e.comps[:0],
 		lastWrite: e.lastWrite, readCounts: e.readCounts, convertedLines: e.convertedLines}
 }
 
@@ -281,7 +289,7 @@ func (e *Engine) empty() {
 // nothing on a new engine: each kept part is re-seeded or was emptied,
 // and each missing one is allocated. cfg and scheme are valid.
 func (e *Engine) init(cfg Config, scheme Scheme) error {
-	rng, ctrl, lastWrite, counts, converted := e.rng, e.ctrl, e.lastWrite, e.readCounts, e.convertedLines
+	rng, ctrl, cluster, lastWrite, counts, converted := e.rng, e.ctrl, e.cluster, e.lastWrite, e.readCounts, e.convertedLines
 	*e = Engine{cfg: cfg, scheme: scheme, gen: e.gen, comps: e.comps,
 		tel: newEngineProbes(cfg.Telemetry)}
 	if rng == nil {
@@ -296,11 +304,15 @@ func (e *Engine) init(cfg Config, scheme Scheme) error {
 
 	// Scheme-specific memory configuration, derived from the design.
 	memCfg := cfg.Mem
-	interval, metric, w := scheme.Scrub.Plan()
+	interval, _, w := scheme.Scrub.Plan()
 	memCfg.ScrubInterval = interval
 	memCfg.CellsPerLine = scheme.lineCells(cfg)
 	e.lineCells = memCfg.CellsPerLine
 	e.recordScrubRewrites = scheme.recordsScrubRewrites()
+	e.flagBits = scheme.flagBits()
+	if n := memCfg.TotalLines; n&(n-1) == 0 {
+		e.lineMask = n - 1
+	}
 	if scheme.Env.Disturb > 0 {
 		e.disturb = drift.DisturbChannel{PerRead: scheme.Env.Disturb}
 		if counts == nil {
@@ -334,27 +346,15 @@ func (e *Engine) init(cfg Config, scheme Scheme) error {
 	}
 	e.ctrl = ctrl
 
-	// Reliability machinery for the scan and read paths. The tables are
-	// memoized process-wide: every job of a campaign shares the same
-	// immutable quadrature results instead of rebuilding them. At the
-	// default 300 K the temperature-parameterized configs are bit-identical
-	// to the paper's (drift.RMetricConfigAt anchors exactly), so default
-	// runs hit the very same memo entries as before.
-	tempK := scheme.Env.Temperature()
-	rCfg, mCfg := drift.RMetricConfigAt(tempK), drift.MMetricConfigAt(tempK)
-	e.rProbs = sharedProbCache(rCfg, 8)
-	e.mProbs = sharedProbCache(mCfg, 8)
-	if interval > 0 && w == 1 {
-		scanCfg := rCfg
-		if metric == drift.MetricM {
-			scanCfg = mCfg
-		}
-		frac, err := sharedSteadyRewrite(scanCfg, interval)
-		if err != nil {
-			return err
-		}
-		e.steadyRewrite = frac
+	// Reliability machinery for the scan and read paths: one lookup in
+	// the process-wide memo (probcache.go), so every job of a campaign
+	// shares the same immutable quadrature results instead of rebuilding
+	// them.
+	tables, err := sharedTables(scheme.Env.Temperature(), scheme.Scrub)
+	if err != nil {
+		return err
 	}
+	e.rProbs, e.mProbs, e.steadyRewrite = tables.r, tables.m, tables.steadyRewrite
 
 	if scheme.usesConverter() {
 		conv, err := lwt.NewConverter()
@@ -378,8 +378,10 @@ func (e *Engine) init(cfg Config, scheme Scheme) error {
 		}
 		src = e.gen
 	}
-	cluster, err := cpu.NewCluster(cfg.CPU, src)
-	if err != nil {
+	if cluster == nil {
+		cluster = new(cpu.Cluster)
+	}
+	if err := cluster.Reset(cfg.CPU, src); err != nil {
 		return err
 	}
 	e.cluster = cluster
@@ -472,7 +474,11 @@ func (e *Engine) mark(now int64) {
 
 // physLine maps a trace line address onto the physical line space.
 func (e *Engine) physLine(traceLine uint64) uint64 {
-	return dist.Splitmix64(traceLine^uint64(e.cfg.Seed)) % e.cfg.Mem.TotalLines
+	h := dist.Splitmix64(traceLine ^ uint64(e.cfg.Seed))
+	if e.lineMask != 0 {
+		return h & e.lineMask
+	}
+	return h % e.cfg.Mem.TotalLines
 }
 
 // scrubPhase returns when the walker visits this line within each interval
@@ -585,8 +591,8 @@ func (e *Engine) Write(now int64, core int, line uint64) (bool, error) {
 		// age math see correct drift clocks.
 		e.lastWrite.Put(phys, now)
 		e.noteDisturbRewrite(phys)
-		if e.scheme.tracking() {
-			e.acct.AddFlagAccess(e.scheme.flagBits())
+		if e.flagBits > 0 {
+			e.acct.AddFlagAccess(e.flagBits)
 		}
 	} else {
 		e.stats.diffWrites++

@@ -82,12 +82,17 @@ func CacheStats() (hits, misses, evictions uint64) {
 }
 
 // PurgeSharedCaches drops every memoized probability table and
-// steady-state fraction, returning the number of entries evicted.
+// steady-state fraction, returning the number of entries evicted, and
+// the per-engine index over them (tableSets), which it does not count.
 // Benchmarks use it to measure cold builds; campaigns never need it.
 // trace.Rand's seed memo and the pool of recycled engines are left
 // alone: neither holds a table (a pooled engine drops its references to
 // the shared ones), and what they hold cannot change a result.
 func PurgeSharedCaches() int {
+	tableSets.Range(func(k, _ any) bool {
+		tableSets.Delete(k)
+		return true
+	})
 	n := 0
 	probCaches.Range(func(k, _ any) bool {
 		probCaches.Delete(k)
@@ -155,6 +160,66 @@ func sharedSteadyRewrite(cfg drift.Config, interval time.Duration) (float64, err
 	return v.(float64), nil
 }
 
+// tableKey is everything an engine's reliability tables depend on: the
+// temperature, and the interval and metric of a W=1 scrub scan (zero for
+// any other plan, which needs no steady-state fraction). It is three
+// words, where the drift configs it stands for are ~200 bytes each.
+type tableKey struct {
+	tempK    float64
+	interval time.Duration
+	metric   drift.Metric
+}
+
+// engineTables is what one engine takes from the memos: the R and M
+// probability tables and, under a W=1 scrub plan, the scan metric's
+// steady-state rewrite fraction.
+type engineTables struct {
+	r, m          *probCache
+	steadyRewrite float64
+}
+
+// tableSets indexes probCaches and steadyFracs by tableKey, so an engine
+// finds all three of its entries with one small-key lookup instead of
+// building two drift configs and hashing them two or three times.
+var tableSets sync.Map // tableKey -> *engineTables
+
+// sharedTables returns the memoized tables of an engine at temperature
+// tempK under scrub plan plan. A miss builds them through sharedProbCache
+// and sharedSteadyRewrite; a hit counts one cacheStats hit per table, as
+// those lookups would have.
+func sharedTables(tempK float64, plan Scrub) (*engineTables, error) {
+	key := tableKey{tempK: tempK}
+	if plan.Interval > 0 && plan.W == 1 {
+		key.interval, key.metric = plan.Interval, plan.Metric
+	}
+	if v, ok := tableSets.Load(key); ok {
+		if key.interval > 0 {
+			cacheStats.hits.Add(3)
+		} else {
+			cacheStats.hits.Add(2)
+		}
+		return v.(*engineTables), nil
+	}
+	// At the default 300 K the temperature-parameterized configs are
+	// bit-identical to the paper's (drift.RMetricConfigAt anchors
+	// exactly), so default runs share the paper's memo entries.
+	rCfg, mCfg := drift.RMetricConfigAt(tempK), drift.MMetricConfigAt(tempK)
+	t := &engineTables{r: sharedProbCache(rCfg, 8), m: sharedProbCache(mCfg, 8)}
+	if key.interval > 0 {
+		scanCfg := rCfg
+		if key.metric == drift.MetricM {
+			scanCfg = mCfg
+		}
+		f, err := sharedSteadyRewrite(scanCfg, key.interval)
+		if err != nil {
+			return nil, err
+		}
+		t.steadyRewrite = f
+	}
+	tableSets.Store(key, t)
+	return t, nil
+}
+
 // locate maps an age to its lower grid index plus interpolation weight.
 func (pc *probCache) locate(ageSeconds float64) (int, float64) {
 	if ageSeconds <= pc.minAge {
@@ -203,6 +268,16 @@ func (pc *probCache) Silent(ageSeconds float64) float64 {
 	}
 	i, f := pc.locate(ageSeconds)
 	return lerp(pc.pSilent, i, f)
+}
+
+// silentRetry returns Silent and Retry at the given age, locating it on
+// the grid once for both.
+func (pc *probCache) silentRetry(ageSeconds float64) (silent, retry float64) {
+	if ageSeconds <= 0 {
+		return 0, 0
+	}
+	i, f := pc.locate(ageSeconds)
+	return lerp(pc.pSilent, i, f), lerp(pc.pRetry, i, f)
 }
 
 // ProbTable is an exported read-only handle on one memoized

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -281,7 +282,8 @@ func TestRecycledEngineMatchesFresh(t *testing.T) {
 
 // TestEmptiedEngineHoldsNoCallerMemory: an engine that enters the pool
 // keeps no reference to the caller's Source or Telemetry, nor to a
-// shared probability table, and keeps its line table empty.
+// shared probability table, and keeps its line table empty. The cluster
+// it keeps for the next job references no Source.
 func TestEmptiedEngineHoldsNoCallerMemory(t *testing.T) {
 	j := recycleJobs()[0]
 	cfg, scheme := recycleConfig(t, j)
@@ -294,8 +296,11 @@ func TestEmptiedEngineHoldsNoCallerMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.empty()
-	if e.cfg.Source != nil || e.cfg.Telemetry != nil || e.cluster != nil || e.tel != nil {
+	if e.cfg.Source != nil || e.cfg.Telemetry != nil || e.tel != nil {
 		t.Error("emptied engine still references the caller's Source or Telemetry")
+	}
+	if e.cluster == nil || !reflect.ValueOf(e.cluster).Elem().FieldByName("src").IsNil() {
+		t.Error("emptied engine lost its cluster, or the cluster still references a Source")
 	}
 	if e.rProbs != nil || e.mProbs != nil || e.converter != nil {
 		t.Error("emptied engine still references a probability table or converter")
