@@ -166,6 +166,19 @@ var committedVerdicts = map[string]string{
 	"mc/sim-sweep/setup_s":          VerdictWithin,
 	"mc/sim-sweep/sim_minstr_per_s": VerdictWithin,
 	"mc/sim-sweep/peak_rss_mb":      VerdictWithin,
+
+	"shortjobs/sim-sweep/setup_s":          VerdictWithin,
+	"shortjobs/sim-sweep/sim_minstr_per_s": VerdictGain,
+	"shortjobs/sim-sweep/peak_rss_mb":      VerdictUnresolved,
+	"shortjobs/sim-read/setup_s":           VerdictWithin,
+	"shortjobs/sim-read/sim_minstr_per_s":  VerdictWithin,
+	"shortjobs/sim-read/peak_rss_mb":       VerdictWithin,
+	"shortjobs/sim-write/setup_s":          VerdictWithin,
+	"shortjobs/sim-write/sim_minstr_per_s": VerdictWithin,
+	"shortjobs/sim-write/peak_rss_mb":      VerdictWithin,
+	"shortjobs/serve-mix/setup_s":          VerdictUnresolved,
+	"shortjobs/serve-mix/sim_minstr_per_s": VerdictWithin,
+	"shortjobs/serve-mix/peak_rss_mb":      VerdictWithin,
 }
 
 // TestJudgeCommittedPairs re-judges every committed perfbench pair
@@ -177,7 +190,7 @@ func TestJudgeCommittedPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	for _, tag := range []string{"construction", "memctrl", "setup", "loop", "recycle", "seed", "mc"} {
+	for _, tag := range []string{"construction", "memctrl", "setup", "loop", "recycle", "seed", "mc", "shortjobs"} {
 		parent, err := readDoc(filepath.Join(root, "results", "BENCH_perfbench_"+tag+"_parent.json"))
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,8 @@
 // Package campaign is the experiment-campaign engine behind the full
 // evaluation matrix: it expands a declarative Spec (schemes x benchmarks x
-// seeds x budget) into independent jobs, executes them on a bounded worker
-// pool with per-job panic recovery and wall-time capture, journals every
+// seeds x budget) into independent jobs, executes them on a fixed set of
+// workers that claim jobs one at a time, with per-job panic recovery and
+// wall-time capture, journals every
 // completed job to an append-only JSONL file so an interrupted campaign can
 // be resumed without re-running finished work, and folds the journal back
 // into the report matrices that render the paper's figures.

@@ -82,8 +82,8 @@ func CacheStats() (hits, misses, evictions uint64) {
 }
 
 // PurgeSharedCaches drops every memoized probability table and
-// steady-state fraction, returning the number of entries evicted, and
-// the per-engine index over them (tableSets), which it does not count.
+// steady-state fraction, and the per-engine index over them (tableSets),
+// returning the number of tables and fractions evicted.
 // Benchmarks use it to measure cold builds; campaigns never need it.
 // trace.Rand's seed memo and the pool of recycled engines are left
 // alone: neither holds a table (a pooled engine drops its references to

@@ -121,6 +121,54 @@ func TestSharedProbCacheConcurrent(t *testing.T) {
 	}
 }
 
+// TestSharedTablesOneLookup: an engine's single lookup returns the very
+// entries of the per-table memos, counts one hit or miss per table as
+// those memos would, shares one entry among plans without a W=1 scan, and
+// is cleared by PurgeSharedCaches.
+func TestSharedTablesOneLookup(t *testing.T) {
+	PurgeSharedCaches()
+	scrubbing, hybrid := Scrubbing().Scrub, Hybrid().Scrub
+	counts := func() (uint64, uint64) {
+		hits, misses, _ := CacheStats()
+		return hits, misses
+	}
+	lookup := func(plan Scrub, wantHits, wantMisses uint64) *engineTables {
+		t.Helper()
+		h0, m0 := counts()
+		tables, err := sharedTables(drift.DefaultTempK, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, m := counts(); h-h0 != wantHits || m-m0 != wantMisses {
+			t.Errorf("plan %+v: %d hits, %d misses, want %d and %d", plan, h-h0, m-m0, wantHits, wantMisses)
+		}
+		return tables
+	}
+	cold := lookup(scrubbing, 0, 3)
+	if warm := lookup(scrubbing, 3, 0); warm != cold {
+		t.Error("a second lookup rebuilt the tables")
+	}
+	rCfg, mCfg := drift.RMetricConfigAt(drift.DefaultTempK), drift.MMetricConfigAt(drift.DefaultTempK)
+	frac, err := sharedSteadyRewrite(rCfg, scrubbing.Interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.r != sharedProbCache(rCfg, 8) || cold.m != sharedProbCache(mCfg, 8) || cold.steadyRewrite != frac {
+		t.Error("the lookup's tables are not the per-table memos' entries")
+	}
+	w0 := lookup(hybrid, 2, 0)
+	if w0.r != cold.r || w0.m != cold.m || w0.steadyRewrite != 0 {
+		t.Error("a plan without a W=1 scan got other tables or a steady-state fraction")
+	}
+	if lookup(Scrub{}, 2, 0) != w0 {
+		t.Error("plans without a W=1 scan do not share one entry")
+	}
+	if n := PurgeSharedCaches(); n != 3 {
+		t.Errorf("purge evicted %d entries, want 2 tables and 1 fraction", n)
+	}
+	lookup(scrubbing, 0, 3)
+}
+
 // TestSharedSteadyRewrite checks the memoized fraction matches the direct
 // analyzer computation and is stable across calls.
 func TestSharedSteadyRewrite(t *testing.T) {
