@@ -179,6 +179,19 @@ var committedVerdicts = map[string]string{
 	"shortjobs/serve-mix/setup_s":          VerdictUnresolved,
 	"shortjobs/serve-mix/sim_minstr_per_s": VerdictWithin,
 	"shortjobs/serve-mix/peak_rss_mb":      VerdictWithin,
+
+	"replay/sim-sweep/setup_s":          VerdictUnresolved,
+	"replay/sim-sweep/sim_minstr_per_s": VerdictGain,
+	"replay/sim-sweep/peak_rss_mb":      VerdictWithin,
+	"replay/sim-read/setup_s":           VerdictWithin,
+	"replay/sim-read/sim_minstr_per_s":  VerdictWithin,
+	"replay/sim-read/peak_rss_mb":       VerdictWithin,
+	"replay/sim-write/setup_s":          VerdictWithin,
+	"replay/sim-write/sim_minstr_per_s": VerdictWithin,
+	"replay/sim-write/peak_rss_mb":      VerdictWithin,
+	"replay/serve-mix/setup_s":          VerdictUnresolved,
+	"replay/serve-mix/sim_minstr_per_s": VerdictWithin,
+	"replay/serve-mix/peak_rss_mb":      VerdictWithin,
 }
 
 // TestJudgeCommittedPairs re-judges every committed perfbench pair
@@ -190,7 +203,7 @@ func TestJudgeCommittedPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	for _, tag := range []string{"construction", "memctrl", "setup", "loop", "recycle", "seed", "mc", "shortjobs"} {
+	for _, tag := range []string{"construction", "memctrl", "setup", "loop", "recycle", "seed", "mc", "shortjobs", "replay"} {
 		parent, err := readDoc(filepath.Join(root, "results", "BENCH_perfbench_"+tag+"_parent.json"))
 		if err != nil {
 			t.Fatal(err)

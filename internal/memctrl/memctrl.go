@@ -278,12 +278,15 @@ type Controller struct {
 	stats       Stats
 	completions []Completion
 
-	// minAt caches the minimum over busyUntil and scrubAt. A dispatch can
-	// only lower it and does so in place; every other deadline change that
-	// may raise it clears minValid, and NextEventAt rescans on demand.
-	// AdvanceTo rescans (due) before each event it processes, since it
-	// needs the event's bank as well.
+	// minAt caches the minimum over busyUntil and scrubAt, minBank the
+	// bank of the event due then and minScrub whether that event is a
+	// scrub arrival, under due's tie rules. A dispatch can only lower the
+	// minimum and does so in place, keeping the event under the same
+	// rules; every other deadline change that may raise it clears
+	// minValid, and NextEventAt and AdvanceTo rescan (due) on demand.
 	minAt    int64
+	minBank  int
+	minScrub bool
 	minValid bool
 	// scrubMin caches the earliest scrub arrival and scrubMinBank its
 	// bank, the lowest of tied banks. Only a scrub arrival moves a scrub
@@ -351,13 +354,13 @@ func (c *Controller) Reset(cfg Config, acct *energy.Accounting, hook ScrubHook) 
 // replay); new code need not call it.
 func (c *Controller) Close() {}
 
-// due refreshes the cached minimum deadline and returns the bank whose
-// event it is, and whether that event is a scrub arrival, in one forward
-// scan of busyUntil (and of scrubAt after a scrub arrival). A completion
-// goes before a tied scrub arrival, tied completions from the highest
-// bank down, tied scrub arrivals from the lowest bank up. With no event at
-// all the minimum is never.
-func (c *Controller) due() (bank int, scrub bool) {
+// due refreshes the cached minimum deadline and the event due then, its
+// bank and whether it is a scrub arrival, in one forward scan of
+// busyUntil (and of scrubAt after a scrub arrival). A completion goes
+// before a tied scrub arrival, tied completions from the highest bank
+// down, tied scrub arrivals from the lowest bank up. With no event at all
+// the minimum is never.
+func (c *Controller) due() {
 	if !c.scrubMinValid {
 		scrubAt, scrubIdx := int64(never), 0
 		for i, at := range c.scrubAt {
@@ -375,11 +378,10 @@ func (c *Controller) due() (bank int, scrub bool) {
 	}
 	c.minValid = true
 	if busyAt <= c.scrubMin {
-		c.minAt = busyAt
-		return busyIdx, false
+		c.minAt, c.minBank, c.minScrub = busyAt, busyIdx, false
+		return
 	}
-	c.minAt = c.scrubMin
-	return c.scrubMinBank, true
+	c.minAt, c.minBank, c.minScrub = c.scrubMin, c.scrubMinBank, true
 }
 
 // Now returns the controller's current time (ps): the target of the last
@@ -460,15 +462,17 @@ func (c *Controller) NextEventAt() (int64, bool) {
 // bank down, tied scrub arrivals are admitted from the lowest bank up.
 func (c *Controller) AdvanceTo(t int64, comps []Completion) []Completion {
 	c.completions = comps[:0]
-	for !c.minValid || c.minAt <= t {
-		i, isScrub := c.due()
+	for {
+		if !c.minValid {
+			c.due()
+		}
 		at := c.minAt
 		if at > t || at == never { // never is beyond any t, MaxInt64 included
 			break
 		}
-		b := &c.banks[i]
+		b := &c.banks[c.minBank]
 		c.now = max(c.now, at)
-		if isScrub {
+		if c.minScrub {
 			c.scrubArrive(b)
 		} else {
 			c.complete(b)
@@ -577,8 +581,13 @@ func (c *Controller) dispatch(b *bank, now int64) {
 	b.inflight = q.popFront()
 	b.startedAt = now
 	// The bank was idle, so its new deadline can only lower the minimum.
+	// Its completion is the event due then if it is earlier, or tied with
+	// a scrub arrival or with a completion on a lower bank (due's rules).
 	at := now + b.inflight.latencyPS
-	c.busyUntil[b.idx], c.minAt = at, min(c.minAt, at)
+	c.busyUntil[b.idx] = at
+	if at < c.minAt || at == c.minAt && (c.minScrub || b.idx > c.minBank) {
+		c.minAt, c.minBank, c.minScrub = at, b.idx, false
+	}
 }
 
 // maybeCancelWrite implements write cancellation with pausing (the paper

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -49,26 +50,32 @@ func TestOpQueueAgainstSliceOracle(t *testing.T) {
 	}
 }
 
-// TestNextEventCacheConsistent checks the cached event minimum against a
-// brute-force scan of the deadline arrays after every call of a busy
-// random workload. Reads come in every sensing mode. A second pass runs
+// TestNextEventCacheConsistent checks the cached event minimum, and the
+// bank and kind of the event cached as due then, against a brute-force
+// scan of the deadline arrays after every call of a busy random workload.
+// Reads come in every sensing mode. A second pass runs
 // one bank without scrubbing, at a pace its write queue keeps up with: a
 // cancelled write then holds the minimum, and a read slower than its
-// remaining time must not leave the paused write's deadline cached.
+// remaining time must not leave the paused write's deadline cached. A
+// third pass scrubs slowly enough that completions often hold the
+// minimum, so dispatches lower it in place, ties between banks
+// included, and every 16th step times a read to an idle bank to
+// complete exactly at the next scrub arrival.
 func TestNextEventCacheConsistent(t *testing.T) {
 	for _, tc := range []struct {
-		banks   int
-		scrub   time.Duration
-		maxStep int // ps one AdvanceTo call may move time
-	}{{8, 50 * time.Microsecond, 200_000}, {1, 0, 2_000_000}} {
+		banks    int
+		scrub    time.Duration
+		maxStep  int // ps one AdvanceTo call may move time
+		tieEvery int // steps between reads tied with a scrub arrival, 0 for none
+	}{{8, 50 * time.Microsecond, 200_000, 0}, {1, 0, 2_000_000, 0}, {8, time.Millisecond, 200_000, 16}} {
 		cfg := DefaultConfig()
 		cfg.Banks, cfg.ScrubInterval = tc.banks, tc.scrub
 		cfg.TotalLines = 1 << 10
-		checkNextEventCache(t, cfg, tc.maxStep)
+		checkNextEventCache(t, cfg, tc.maxStep, tc.tieEvery)
 	}
 }
 
-func checkNextEventCache(t *testing.T, cfg Config, maxStep int) {
+func checkNextEventCache(t *testing.T, cfg Config, maxStep, tieEvery int) {
 	t.Helper()
 	acct, err := energy.NewAccounting(energy.DefaultParams())
 	if err != nil {
@@ -78,16 +85,19 @@ func checkNextEventCache(t *testing.T, cfg Config, maxStep int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	brute := func() (int64, bool) {
-		best, found := int64(0), false
+	// brute picks the due event: the earliest deadline; at one time a
+	// completion before a scrub arrival, completions from the highest bank
+	// down, scrub arrivals from the lowest bank up.
+	brute := func() (at int64, bank int, scrub, found bool) {
 		for i := range c.banks {
-			for _, at := range [...]int64{c.busyUntil[i], c.scrubAt[i]} {
-				if at != never && (!found || at < best) {
-					best, found = at, true
-				}
+			if d := c.busyUntil[i]; d != never && (!found || d < at || d == at && (scrub || i > bank)) {
+				at, bank, scrub, found = d, i, false, true
+			}
+			if d := c.scrubAt[i]; d != never && (!found || d < at) {
+				at, bank, scrub, found = d, i, true, true
 			}
 		}
-		return best, found
+		return at, bank, scrub, found
 	}
 	// dispatch runs after every change to a bank's queues or in-flight
 	// op, so no bank is ever left idle with work it could start.
@@ -104,6 +114,10 @@ func checkNextEventCache(t *testing.T, cfg Config, maxStep int) {
 	now := int64(0)
 	var scratch []Completion
 	for step := 0; step < 20_000; step++ {
+		if tieEvery > 0 && step%tieEvery == 0 {
+			now, scratch = readTiedWithScrub(t, c, now, scratch)
+			continue
+		}
 		line := uint64(rng.Intn(1 << 10))
 		switch rng.Intn(3) {
 		case 0:
@@ -119,12 +133,36 @@ func checkNextEventCache(t *testing.T, cfg Config, maxStep int) {
 		}
 		checkNoIdleWork(step)
 		gotAt, gotOK := c.NextEventAt()
-		wantAt, wantOK := brute()
+		wantAt, wantBank, wantScrub, wantOK := brute()
 		if gotAt != wantAt || gotOK != wantOK {
 			t.Fatalf("%d banks, step %d: NextEventAt = %d,%v brute force %d,%v",
 				cfg.Banks, step, gotAt, gotOK, wantAt, wantOK)
 		}
+		if wantOK && (c.minBank != wantBank || c.minScrub != wantScrub) {
+			t.Fatalf("%d banks, step %d: cached event bank %d (scrub %v), brute force bank %d (scrub %v)",
+				cfg.Banks, step, c.minBank, c.minScrub, wantBank, wantScrub)
+		}
 	}
+}
+
+// readTiedWithScrub advances c to the time a read sensed in R mode
+// must start to complete at the next scrub arrival, and starts one on the
+// lowest idle bank. When that time has passed or no bank is idle it does
+// nothing.
+func readTiedWithScrub(t *testing.T, c *Controller, now int64, scratch []Completion) (int64, []Completion) {
+	t.Helper()
+	start := slices.Min(c.scrubAt) - PS(c.cfg.Timing.Latency(sense.ModeR))
+	i := slices.Index(c.busyUntil, never)
+	if start < now || i < 0 {
+		return now, scratch
+	}
+	scratch = c.AdvanceTo(start, scratch)
+	if i = slices.Index(c.busyUntil, never); i >= 0 {
+		if err := c.EnqueueRead(start, uint64(i), uint64(i), sense.ModeR); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return start, scratch
 }
 
 type nopHook struct{}

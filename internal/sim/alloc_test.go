@@ -98,14 +98,17 @@ func TestAdvanceToZeroAlloc(t *testing.T) {
 //     No pool is involved, so this bound also holds under the race
 //     detector.
 //   - a warm Run of the same gcc x LWT-4 25k-instruction job rebuilds the
-//     engine enginePool holds from the last job, CPU cluster included, so
-//     what remains is the energy accounting, the converter and the
-//     Result: 448 B in 3 allocations per run, bounded at 1.5 KiB (3.4x),
-//     about the headroom the 4 KiB bound gave the 1,280 B a run allocated
-//     while each job built its own cluster (3.2x). The bound allows a GC
-//     emptying the pool (one fresh engine in the 100 runs costs about
-//     0.5 KB a run). Under the race detector sync.Pool drops a quarter of
-//     its Puts on purpose, so this bound is not checked there.
+//     engine enginePool holds from the last job, CPU cluster included, and
+//     replays its generator tape, so what remains is the energy
+//     accounting, the converter and the Result: 448 B in 3 allocations
+//     per run, bounded at 1.5 KiB (3.4x), about the headroom the 4 KiB
+//     bound gave the 1,280 B a run allocated while each job built its own
+//     cluster (3.2x). Warm Runs that alternate two rows (gcc and hmmer)
+//     re-seed the tape into the capacity it kept, and are held to the
+//     same bound: 448 B. The bound allows a GC emptying the pool (one
+//     fresh engine in the 100 runs costs about 0.5 KB a run). Under the
+//     race detector sync.Pool drops a quarter of its Puts on purpose, so
+//     this bound is not checked there.
 func TestNewEngineAllocationBudget(t *testing.T) {
 	b, ok := trace.ByName("gcc")
 	if !ok {
@@ -114,8 +117,15 @@ func TestNewEngineAllocationBudget(t *testing.T) {
 	cfg := DefaultConfig(b)
 	cfg.CPU.InstrBudget = 25_000
 	scheme := LWT(4, true)
-	if _, err := Run(cfg, scheme); err != nil {
-		t.Fatal(err)
+	if b, ok = trace.ByName("hmmer"); !ok {
+		t.Fatal("hmmer benchmark missing")
+	}
+	other := cfg
+	other.Bench = b
+	for _, c := range []Config{other, cfg} {
+		if _, err := Run(c, scheme); err != nil {
+			t.Fatal(err)
+		}
 	}
 	const n = 100
 	perOp := func(op func() error) uint64 {
@@ -145,5 +155,15 @@ func TestNewEngineAllocationBudget(t *testing.T) {
 	})
 	if warm >= warmBudget {
 		t.Errorf("a warm Run allocates %d bytes, want < %d", warm, warmBudget)
+	}
+	rows := [2]Config{other, cfg}
+	i := 0
+	alternating := perOp(func() error {
+		i++
+		_, err := Run(rows[i%2], scheme)
+		return err
+	})
+	if alternating >= warmBudget {
+		t.Errorf("a warm Run alternating two rows allocates %d bytes, want < %d", alternating, warmBudget)
 	}
 }

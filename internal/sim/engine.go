@@ -119,7 +119,10 @@ type Engine struct {
 	acct    *energy.Accounting
 	rng     *trace.Rand
 	// gen is the engine's own access stream, used when cfg.Source is nil.
-	gen *trace.Generator
+	// It is a tape, so a job that follows a job of the same row (the
+	// same benchmark, core count and seed) replays the records the row's
+	// earlier jobs drew instead of re-seeding four core streams.
+	gen *trace.Tape
 	// comps is the loop's completion scratch, recycled every iteration so
 	// the steady state never allocates.
 	comps []memctrl.Completion
@@ -268,12 +271,13 @@ func newEngine(cfg Config, scheme Scheme) (*Engine, error) {
 }
 
 // empty readies a finished engine for enginePool. It keeps only what
-// init rebuilds in place: the engine's and its generator's stream
-// sources, the controller, the CPU cluster (released from its Source),
-// the line tables and the converted-line map (cleared) and the
-// completion scratch. Every other field is zeroed, so a pooled engine
-// holds no reference to the caller's Source or Telemetry and none to a
-// shared probability table.
+// init rebuilds in place: the engine's stream source, the generator tape
+// with its records (the next job replays them if it runs the same row),
+// the controller, the CPU cluster (released from its Source), the line
+// tables and the converted-line map (cleared) and the completion
+// scratch. Every other field is zeroed, so a pooled engine holds no
+// reference to the caller's Source or Telemetry and none to a shared
+// probability table.
 func (e *Engine) empty() {
 	e.lastWrite.Reset()
 	if e.readCounts != nil {
@@ -287,7 +291,9 @@ func (e *Engine) empty() {
 
 // init builds the engine for one run over what empty kept, which is
 // nothing on a new engine: each kept part is re-seeded or was emptied,
-// and each missing one is allocated. cfg and scheme are valid.
+// the tape is rewound when the job runs the previous job's benchmark,
+// core count and seed and re-seeded otherwise, and each missing part is
+// allocated. cfg and scheme are valid.
 func (e *Engine) init(cfg Config, scheme Scheme) error {
 	rng, ctrl, cluster, lastWrite, counts, converted := e.rng, e.ctrl, e.cluster, e.lastWrite, e.readCounts, e.convertedLines
 	*e = Engine{cfg: cfg, scheme: scheme, gen: e.gen, comps: e.comps,
@@ -371,7 +377,7 @@ func (e *Engine) init(cfg Config, scheme Scheme) error {
 	src := cfg.Source
 	if src == nil {
 		if e.gen == nil {
-			e.gen = new(trace.Generator)
+			e.gen = new(trace.Tape)
 		}
 		if err := e.gen.Reset(cfg.Bench, cfg.CPU.Cores, cfg.Seed); err != nil {
 			return err

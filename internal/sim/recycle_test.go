@@ -103,7 +103,12 @@ func replaySource(t *testing.T, b trace.Benchmark, cores int, seed int64) *trace
 // disturb jobs, a job without warmup (its Result counts from zero), a
 // walker that scrubs touched lines in a small memory after another
 // scrubbing job, and a one-bank job after a one-bank run cancelled in a
-// forced write drain.
+// forced write drain. Every job runs seed 1, so jobs of one benchmark
+// and core count share a row and replay the engine's generator tape:
+// the long job passes the tape's cap and a short job of its row follows
+// it, and a 60k-instruction job follows a 25k one of its row, so its
+// cores draw on past the tape (run in reverse, a shorter job follows a
+// longer one, and a long job extends a short job's tape past the cap).
 func recycleJobs() []recycleJob {
 	// Short converter epochs let lines a previous job converted move the
 	// converter. A one-bank memory with WriteDrainLo 0 keeps a forced
@@ -116,10 +121,12 @@ func recycleJobs() []recycleJob {
 	}
 	return []recycleJob{
 		{label: "mcf/LWT-4/long", bench: "mcf", scheme: "LWT-4", budget: 150_000, setup: epochs},
+		{label: "mcf/Ideal/after-long", bench: "mcf", scheme: "Ideal", budget: 25_000},
 		{label: "mcf/LWT-4/2-core", bench: "mcf", scheme: "LWT-4", budget: 25_000,
 			setup: func(t *testing.T, cfg *Config) { epochs(t, cfg); cfg.CPU.Cores = 2 }},
 		{label: "gcc/Ideal/no-warmup", bench: "gcc", scheme: "Ideal", budget: 25_000,
 			setup: func(_ *testing.T, cfg *Config) { cfg.WarmupFrac = 0 }},
+		{label: "gcc/LWT-4/60k", bench: "gcc", scheme: "LWT-4", budget: 60_000},
 		{label: "lbm/Scrubbing", bench: "lbm", scheme: "Scrubbing", budget: 25_000},
 		{label: "mcf/fast-scrub/small-memory", bench: "mcf", budget: 25_000,
 			design: &Design{Sense: SenseTracked, Write: WritePlain, K: 4,
