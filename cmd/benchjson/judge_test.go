@@ -192,6 +192,19 @@ var committedVerdicts = map[string]string{
 	"replay/serve-mix/setup_s":          VerdictUnresolved,
 	"replay/serve-mix/sim_minstr_per_s": VerdictWithin,
 	"replay/serve-mix/peak_rss_mb":      VerdictWithin,
+
+	"longrows/sim-write/setup_s":          VerdictUnresolved,
+	"longrows/sim-write/sim_minstr_per_s": VerdictGain,
+	"longrows/sim-write/peak_rss_mb":      VerdictWithin,
+	"longrows/sim-read/setup_s":           VerdictUnresolved,
+	"longrows/sim-read/sim_minstr_per_s":  VerdictGain,
+	"longrows/sim-read/peak_rss_mb":       VerdictWithin,
+	"longrows/sim-sweep/setup_s":          VerdictWithin,
+	"longrows/sim-sweep/sim_minstr_per_s": VerdictWithin,
+	"longrows/sim-sweep/peak_rss_mb":      VerdictWithin,
+	"longrows/serve-mix/setup_s":          VerdictWithin,
+	"longrows/serve-mix/sim_minstr_per_s": VerdictWithin,
+	"longrows/serve-mix/peak_rss_mb":      VerdictWithin,
 }
 
 // TestJudgeCommittedPairs re-judges every committed perfbench pair
@@ -203,7 +216,7 @@ func TestJudgeCommittedPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	for _, tag := range []string{"construction", "memctrl", "setup", "loop", "recycle", "seed", "mc", "shortjobs", "replay"} {
+	for _, tag := range []string{"construction", "memctrl", "setup", "loop", "recycle", "seed", "mc", "shortjobs", "replay", "longrows"} {
 		parent, err := readDoc(filepath.Join(root, "results", "BENCH_perfbench_"+tag+"_parent.json"))
 		if err != nil {
 			t.Fatal(err)

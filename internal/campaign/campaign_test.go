@@ -147,6 +147,39 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestDeterminismAcrossParallelismLongRows is the long-row twin of
+// TestDeterminismAcrossParallelism: mcf and lbm x three designs at 200k
+// instructions per core, long enough that each row's engine tape spans
+// several blocks. At Parallel 1 every job after its row's first replays
+// the tape; at 2 and 8 rows split across engines, which generate their
+// own. The matrices and the rendered table must be identical.
+func TestDeterminismAcrossParallelismLongRows(t *testing.T) {
+	spec := testSpec(t, 200_000)
+	spec.Benchmarks = spec.Benchmarks[:0]
+	for _, name := range []string{"mcf", "lbm"} {
+		b, ok := trace.ByName(name)
+		if !ok {
+			t.Fatalf("%s missing", name)
+		}
+		spec.Benchmarks = append(spec.Benchmarks, b)
+	}
+	serial := mustMatrix(t, spec, mustRun(t, spec, Options{Parallel: 1}))
+	table := renderTable(t, serial)
+	for _, p := range []int{2, 8} {
+		out := mustRun(t, spec, Options{Parallel: p})
+		if out.Done != 6 || out.Failed != 0 {
+			t.Fatalf("parallel=%d outcome %+v", p, out)
+		}
+		m := mustMatrix(t, spec, out)
+		if !reflect.DeepEqual(serial, m) {
+			t.Fatalf("parallel=1 and parallel=%d matrices differ", p)
+		}
+		if !bytes.Equal(table, renderTable(t, m)) {
+			t.Fatalf("rendered tables differ at parallel=%d", p)
+		}
+	}
+}
+
 // TestPanicBecomesFailedJob: a panicking simulation must surface as a
 // failed-job record, not kill the process, and aggregation must refuse the
 // incomplete matrix by name.

@@ -191,8 +191,24 @@ func (s *lazySource) grow() {
 	s.lo = lo
 }
 
+// Int63 and Uint64 each carry the draw: with its call to grow, the draw
+// is too costly to inline, so an Int63 that called Uint64 would make a
+// rand.Rand draw two calls.
 func (s *lazySource) Int63() int64 {
-	return int64(s.Uint64() & rngMask)
+	s.tap--
+	if s.tap < 0 {
+		s.tap += rngLen
+	}
+	s.feed--
+	if s.feed < 0 {
+		s.feed += rngLen
+	}
+	if s.feed < s.lo {
+		s.grow()
+	}
+	x := s.vec[s.feed] + s.vec[s.tap]
+	s.vec[s.feed] = x
+	return x & rngMask
 }
 
 func (s *lazySource) Uint64() uint64 {

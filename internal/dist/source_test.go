@@ -178,3 +178,27 @@ func BenchmarkSourceSeed(b *testing.B) {
 		sinkSource.Seed(int64(i))
 	}
 }
+
+var sinkFloat float64
+
+// BenchmarkNormFloat64 draws normal deviates, as MC and cell-population
+// shards do, from a NewRand stream past its lazy seeding and from an
+// eagerly seeded Source: the draw path of each.
+func BenchmarkNormFloat64(b *testing.B) {
+	var eager Source
+	eager.Seed(1)
+	for _, c := range []struct {
+		name string
+		r    *rand.Rand
+	}{{"lazy", NewRand(1)}, {"eager", rand.New(&eager)}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < rngLen; i++ {
+				c.r.Int63()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkFloat = c.r.NormFloat64()
+			}
+		})
+	}
+}

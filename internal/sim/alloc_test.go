@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -93,8 +94,10 @@ func TestAdvanceToZeroAlloc(t *testing.T) {
 // (probability tables and seeded sources):
 //
 //   - an engine built from nothing copies its five seeded sources into
-//     sources of its own and starts with empty queues, cluster and line
-//     table: 32,256 B on a 2-vCPU Xeon with Go 1.24, bounded at 64 KiB.
+//     sources of its own, starts with empty queues, cluster and line
+//     table, and takes each core's first 64-record tape block when the
+//     cluster fetches its first access: 34,816 B on a 2-vCPU Xeon with
+//     Go 1.24, bounded at 64 KiB.
 //     No pool is involved, so this bound also holds under the race
 //     detector.
 //   - a warm Run of the same gcc x LWT-4 25k-instruction job rebuilds the
@@ -109,6 +112,12 @@ func TestAdvanceToZeroAlloc(t *testing.T) {
 //     fresh engine in the 100 runs costs about 0.5 KB a run). Under the
 //     race detector sync.Pool drops a quarter of its Puts on purpose, so
 //     this bound is not checked there.
+//   - so is a warm rerun of a long lbm job (200k instructions, about
+//     2.1K records per core in seven tape blocks) on an engine the test
+//     recycles itself, as RunContext does but without the pool, because
+//     one fresh engine for a row this long (its line table and tape
+//     alone are over 300 KB) would pass the bound: once the row's blocks
+//     exist the rerun rewinds them and allocates no tape storage: 448 B.
 func TestNewEngineAllocationBudget(t *testing.T) {
 	b, ok := trace.ByName("gcc")
 	if !ok {
@@ -165,5 +174,28 @@ func TestNewEngineAllocationBudget(t *testing.T) {
 	})
 	if alternating >= warmBudget {
 		t.Errorf("a warm Run alternating two rows allocates %d bytes, want < %d", alternating, warmBudget)
+	}
+	long := cfg
+	if long.Bench, ok = trace.ByName("lbm"); !ok {
+		t.Fatal("lbm benchmark missing")
+	}
+	long.CPU.InstrBudget = 200_000
+	e := new(Engine)
+	runLong := func() error {
+		if err := e.init(long, scheme); err != nil {
+			return err
+		}
+		if err := e.loop(context.Background()); err != nil {
+			return err
+		}
+		e.result()
+		e.empty()
+		return nil
+	}
+	if err := runLong(); err != nil {
+		t.Fatal(err)
+	}
+	if rerun := perOp(runLong); rerun >= warmBudget {
+		t.Errorf("a warm rerun of a long row allocates %d bytes, want < %d", rerun, warmBudget)
 	}
 }

@@ -105,10 +105,15 @@ func replaySource(t *testing.T, b trace.Benchmark, cores int, seed int64) *trace
 // scrubbing job, and a one-bank job after a one-bank run cancelled in a
 // forced write drain. Every job runs seed 1, so jobs of one benchmark
 // and core count share a row and replay the engine's generator tape:
-// the long job passes the tape's cap and a short job of its row follows
-// it, and a 60k-instruction job follows a 25k one of its row, so its
-// cores draw on past the tape (run in reverse, a shorter job follows a
-// longer one, and a long job extends a short job's tape past the cap).
+// the long job passes the tape's cap (mcf at 3.5M instructions draws
+// about 70K records per core) and a short job of its row follows it, a
+// 60k-instruction job follows a 25k one of its row, so its cores draw on
+// past the tape, and two 500k-instruction lbm jobs (about 5.2K records
+// per core, eight blocks) follow a 25k one of their row, so the first
+// extends a one-block tape into new blocks and the second rewinds them
+// all (run in reverse, a shorter job follows a longer one, the first
+// 500k job generates into blocks a re-seed kept, and a long job extends
+// a short job's tape past the cap).
 func recycleJobs() []recycleJob {
 	// Short converter epochs let lines a previous job converted move the
 	// converter. A one-bank memory with WriteDrainLo 0 keeps a forced
@@ -120,7 +125,7 @@ func recycleJobs() []recycleJob {
 		cfg.Mem.WriteDrainHi, cfg.Mem.WriteDrainLo = 8, 0
 	}
 	return []recycleJob{
-		{label: "mcf/LWT-4/long", bench: "mcf", scheme: "LWT-4", budget: 150_000, setup: epochs},
+		{label: "mcf/LWT-4/long", bench: "mcf", scheme: "LWT-4", budget: 3_500_000, setup: epochs},
 		{label: "mcf/Ideal/after-long", bench: "mcf", scheme: "Ideal", budget: 25_000},
 		{label: "mcf/LWT-4/2-core", bench: "mcf", scheme: "LWT-4", budget: 25_000,
 			setup: func(t *testing.T, cfg *Config) { epochs(t, cfg); cfg.CPU.Cores = 2 }},
@@ -136,6 +141,8 @@ func recycleJobs() []recycleJob {
 		{label: "bursty/Hybrid", bench: "bursty", scheme: "Hybrid", budget: 25_000},
 		{label: "lbm/Select-4:2", bench: "lbm", scheme: "Select-4:2", budget: 25_000},
 		{label: "lbm/lwc:r=8", bench: "lbm", scheme: "lwc:r=8", budget: 25_000},
+		{label: "lbm/Ideal/500k", bench: "lbm", scheme: "Ideal", budget: 500_000},
+		{label: "lbm/lwc:r=8/500k", bench: "lbm", scheme: "lwc:r=8", budget: 500_000},
 		{label: "gcc/LWT-4@disturb", bench: "gcc", scheme: "LWT-4@disturb=0.01", budget: 25_000},
 		{label: "gcc/Hybrid@disturb", bench: "gcc", scheme: "Hybrid@disturb=0.01", budget: 25_000},
 		{label: "bursty/Scrubbing@temp", bench: "bursty", scheme: "Scrubbing@temp=250", budget: 25_000},
