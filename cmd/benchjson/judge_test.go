@@ -205,6 +205,19 @@ var committedVerdicts = map[string]string{
 	"longrows/serve-mix/setup_s":          VerdictWithin,
 	"longrows/serve-mix/sim_minstr_per_s": VerdictWithin,
 	"longrows/serve-mix/peak_rss_mb":      VerdictWithin,
+
+	"bursts/sim-write/setup_s":          VerdictUnresolved,
+	"bursts/sim-write/sim_minstr_per_s": VerdictWithin,
+	"bursts/sim-write/peak_rss_mb":      VerdictWithin,
+	"bursts/sim-read/setup_s":           VerdictUnresolved,
+	"bursts/sim-read/sim_minstr_per_s":  VerdictWithin,
+	"bursts/sim-read/peak_rss_mb":       VerdictWithin,
+	"bursts/sim-sweep/setup_s":          VerdictWithin,
+	"bursts/sim-sweep/sim_minstr_per_s": VerdictWithin,
+	"bursts/sim-sweep/peak_rss_mb":      VerdictWithin,
+	"bursts/serve-mix/setup_s":          VerdictUnresolved,
+	"bursts/serve-mix/sim_minstr_per_s": VerdictWithin,
+	"bursts/serve-mix/peak_rss_mb":      VerdictWithin,
 }
 
 // TestJudgeCommittedPairs re-judges every committed perfbench pair
@@ -216,7 +229,7 @@ func TestJudgeCommittedPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	for _, tag := range []string{"construction", "memctrl", "setup", "loop", "recycle", "seed", "mc", "shortjobs", "replay", "longrows"} {
+	for _, tag := range []string{"construction", "memctrl", "setup", "loop", "recycle", "seed", "mc", "shortjobs", "replay", "longrows", "bursts"} {
 		parent, err := readDoc(filepath.Join(root, "results", "BENCH_perfbench_"+tag+"_parent.json"))
 		if err != nil {
 			t.Fatal(err)

@@ -8,6 +8,7 @@ package cpu
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"readduo/internal/trace"
@@ -228,7 +229,11 @@ func (cl *Cluster) NextActionAt() (int64, bool) {
 
 // Step issues the accesses of every core due at or before now, running
 // cores and re-armed stalled writers alike, in core index order. When the
-// cached deadline says no core is due yet, the scan is skipped.
+// cached deadline says no core is due yet, the scan is skipped. Otherwise
+// one pass over the deadlines collects the due cores of each block of 64
+// into a mask, and Step issues its set bits: an issue moves only its own
+// core's deadlines, so the mask taken before the first issue is the set a
+// per-core check would find.
 func (cl *Cluster) Step(now int64, mem MemPort) error {
 	if !cl.valid {
 		cl.recompute()
@@ -236,15 +241,30 @@ func (cl *Cluster) Step(now int64, mem MemPort) error {
 	if cl.stepAt > now {
 		return nil
 	}
-	for i, at := range cl.runAt {
-		if min(at, cl.stallAt[i]) > now {
-			continue
-		}
-		if err := cl.issue(i, now, mem); err != nil {
-			return err
+	for base := 0; base < len(cl.runAt); base += 64 {
+		for due := cl.dueMask(base, now); due != 0; due &= due - 1 {
+			if err := cl.issue(base+bits.TrailingZeros64(due), now, mem); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// dueMask returns the cores base to base+63 whose issue or retry time is
+// at or before now, core base+j as bit j.
+func (cl *Cluster) dueMask(base int, now int64) uint64 {
+	runAt := cl.runAt[base:min(base+64, len(cl.runAt))]
+	stallAt := cl.stallAt[base:][:len(runAt)]
+	var due uint64
+	for j, at := range runAt {
+		var bit uint64
+		if min(at, stallAt[j]) <= now {
+			bit = 1
+		}
+		due |= bit << j
+	}
+	return due
 }
 
 // issue sends core i's pending access; Step calls it only when the core's
@@ -323,6 +343,10 @@ func (cl *Cluster) RetryAt(now int64) {
 		}
 	}
 }
+
+// Stalled reports whether any core waits on a full write queue, which
+// only RetryAt re-arms.
+func (cl *Cluster) Stalled() bool { return cl.stalledWrites > 0 }
 
 // TotalRetired sums retired instructions across cores.
 func (cl *Cluster) TotalRetired() uint64 { return cl.retired }

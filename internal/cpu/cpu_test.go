@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 
 	"readduo/internal/trace"
@@ -387,5 +388,107 @@ func TestClusterSteadyStateZeroAlloc(t *testing.T) {
 	if mem.nextID == reads || mem.writes-writes < 4 {
 		t.Fatalf("measured steps issued %d reads and %d writes, want reads and at least one refused write",
 			mem.nextID-reads, mem.writes-writes)
+	}
+}
+
+// orderMem records the core of every access, accepting all of them.
+type orderMem struct {
+	nextID uint64
+	cores  []int
+}
+
+func (m *orderMem) Read(now int64, core int, line uint64) (uint64, error) {
+	m.nextID++
+	m.cores = append(m.cores, core)
+	return m.nextID, nil
+}
+
+func (m *orderMem) Write(now int64, core int, line uint64) (bool, error) {
+	m.cores = append(m.cores, core)
+	return true, nil
+}
+
+// TestStepIssuesDueCoresInIndexOrder runs more cores than one 64-bit due
+// mask holds: at each step, exactly the cores due then must issue, once
+// each, in index order across the mask blocks. Core i waits i%3 cycles
+// between its writes, so the due set changes from step to step.
+func TestStepIssuesDueCoresInIndexOrder(t *testing.T) {
+	const cores = 130
+	recs := map[int][]trace.Record{}
+	for i := 0; i < cores; i++ {
+		recs[i] = []trace.Record{{Core: uint8(i), Write: true, Line: uint64(i), Gap: uint32(i % 3)}}
+	}
+	cl, err := NewCluster(Config{Cores: cores, FreqGHz: 2, InstrBudget: 1 << 20, MLP: 4}, newScript(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 12; step++ {
+		now, ok := cl.NextActionAt()
+		if !ok {
+			t.Fatal("no core wants to act")
+		}
+		var want []int
+		for i, at := range cl.runAt {
+			if at <= now {
+				want = append(want, i)
+			}
+		}
+		mem := &orderMem{}
+		if err := cl.Step(now, mem); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(mem.cores, want) {
+			t.Fatalf("step %d at %d ps issued cores %v, want %v", step, now, mem.cores, want)
+		}
+	}
+}
+
+// cycleSource cycles each core through its own records, without the
+// map lookups of scriptSource.
+type cycleSource struct {
+	recs [][]trace.Record
+	pos  []int
+}
+
+func (s *cycleSource) Next(core int) (trace.Record, error) {
+	rs := s.recs[core]
+	r := rs[s.pos[core]%len(rs)]
+	s.pos[core]++
+	return r, nil
+}
+
+// BenchmarkClusterStep times one event step of four cores as the
+// simulator's loop takes it: a read completion, write retries and the
+// issues of every core due, with reads, accepted writes and refused ones.
+func BenchmarkClusterStep(b *testing.B) {
+	src := &cycleSource{recs: [][]trace.Record{
+		{{Line: 1}, {Write: true, Line: 2, Gap: 3}, {Line: 3, Gap: 1}},
+		{{Write: true, Line: 4}, {Line: 5, Gap: 2}},
+		{{Line: 6, Gap: 5}, {Line: 7}, {Write: true, Line: 8}},
+		{{Write: true, Line: 9, Gap: 1}, {Write: true, Line: 10}, {Line: 11}},
+	}, pos: make([]int, 4)}
+	cl, err := NewCluster(Config{Cores: 4, FreqGHz: 2, InstrBudget: 1 << 62, MLP: 4}, src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mem := &ringMem{}
+	now := int64(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if mem.n > 0 {
+			id := mem.ring[mem.head]
+			mem.head, mem.n = (mem.head+1)%len(mem.ring), mem.n-1
+			if err := cl.OnReadComplete(id, now); err != nil {
+				b.Fatal(err)
+			}
+		}
+		cl.RetryAt(now)
+		if at, ok := cl.NextActionAt(); ok {
+			now = max(now, at)
+		}
+		if err := cl.Step(now, mem); err != nil {
+			b.Fatal(err)
+		}
+		now += 500
 	}
 }

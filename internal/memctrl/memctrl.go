@@ -170,10 +170,11 @@ const (
 	opScrubWrite
 )
 
-// op is one queued or in-flight bank operation. It is copied by value on
-// every queue push and pop and on dispatch, so its fields are narrowed to
-// keep it at 48 bytes: copies of up to 64 bytes compile to inline moves,
-// larger ones to a runtime.duffcopy call.
+// op is one queued or in-flight bank operation. Enqueueing writes its
+// fields straight into a ring slot, and dispatch copies it from the slot
+// into the bank's in-flight op, so its fields are narrowed to keep it at
+// 48 bytes: copies of up to 64 bytes compile to inline moves, larger ones
+// to a runtime.duffcopy call.
 type op struct {
 	id           uint64
 	line         uint64
@@ -184,6 +185,14 @@ type op struct {
 	kind         opKind
 	mode         uint8 // sense.Mode of a read or scrub scan
 	rewriteAfter bool  // scrub read: enqueue rewrite on completion
+}
+
+// setWrite fills o, a fresh ring slot, as a demand write (opWrite) or a
+// scrub rewrite (opScrubWrite) of line.
+func (o *op) setWrite(kind opKind, line uint64, latencyPS, enqueuedAt int64, cells int32) {
+	o.id, o.line, o.latencyPS, o.enqueuedAt = 0, line, latencyPS, enqueuedAt
+	o.cells, o.rewriteCells = cells, 0
+	o.kind, o.mode, o.rewriteAfter = kind, 0, false
 }
 
 // opQueue is a growable ring buffer of ops. The steady-state loop pops
@@ -202,28 +211,37 @@ func (q *opQueue) len() int { return q.n }
 // emptied returns an empty queue over q's backing array.
 func (q *opQueue) emptied() opQueue { return opQueue{buf: q.buf} }
 
-func (q *opQueue) pushBack(o op) {
+// pushBack appends a slot at the back of q and returns it. The slot holds
+// whatever op last used it, so the caller sets every field. Writing an op
+// through the slot, field by field, builds it in place: assigning a
+// composite literal through a pointer builds it in a stack temporary
+// first and copies that.
+func (q *opQueue) pushBack() *op {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = o
+	o := &q.buf[(q.head+q.n)&(len(q.buf)-1)]
 	q.n++
+	return o
 }
 
 // pushFront is the write-cancellation path: a paused write returns to the
 // head of its queue in O(1), where the slice implementation re-allocated
-// the whole queue.
-func (q *opQueue) pushFront(o op) {
+// the whole queue. Like pushBack it returns the new slot for the caller
+// to fill.
+func (q *opQueue) pushFront() *op {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
 	q.head = (q.head - 1) & (len(q.buf) - 1)
-	q.buf[q.head] = o
 	q.n++
+	return &q.buf[q.head]
 }
 
-func (q *opQueue) popFront() op {
-	o := q.buf[q.head]
+// popFront removes the front op and returns its slot, which holds the op
+// until the next push reuses it.
+func (q *opQueue) popFront() *op {
+	o := &q.buf[q.head]
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	return o
@@ -410,10 +428,10 @@ func (c *Controller) EnqueueRead(now int64, id, line uint64, mode sense.Mode) er
 		return fmt.Errorf("memctrl: unsupported read mode %v", mode)
 	}
 	b := &c.banks[c.BankOf(line)]
-	b.readQ.pushBack(op{
-		kind: opRead, id: id, line: line,
-		latencyPS: PS(lat), cells: int32(c.cfg.CellsPerLine), mode: uint8(mode), enqueuedAt: now,
-	})
+	o := b.readQ.pushBack()
+	o.id, o.line, o.latencyPS, o.enqueuedAt = id, line, PS(lat), now
+	o.cells, o.rewriteCells = int32(c.cfg.CellsPerLine), 0
+	o.kind, o.mode, o.rewriteAfter = opRead, uint8(mode), false
 	c.maybeCancelWrite(b, now)
 	c.dispatch(b, now)
 	return nil
@@ -427,10 +445,7 @@ func (c *Controller) EnqueueWrite(now int64, line uint64, cells int) bool {
 		c.stats.WriteQueueStalls++
 		return false
 	}
-	b.writeQ.pushBack(op{
-		kind: opWrite, line: line,
-		latencyPS: PS(c.cfg.Timing.Write), cells: int32(cells), enqueuedAt: now,
-	})
+	b.writeQ.pushBack().setWrite(opWrite, line, PS(c.cfg.Timing.Write), now, int32(cells))
 	c.dispatch(b, now)
 	return true
 }
@@ -497,11 +512,10 @@ func (c *Controller) scrubArrive(b *bank) {
 	if act.Voltage {
 		mode = sense.ModeM
 	}
-	b.scrubPending.pushBack(op{
-		kind: opScrubRead, line: line,
-		latencyPS: PS(act.ReadLatency), cells: int32(c.cfg.CellsPerLine), mode: uint8(mode),
-		enqueuedAt: c.now, rewriteAfter: act.Rewrite, rewriteCells: int32(act.CellsWritten),
-	})
+	o := b.scrubPending.pushBack()
+	o.id, o.line, o.latencyPS, o.enqueuedAt = 0, line, PS(act.ReadLatency), c.now
+	o.cells, o.rewriteCells = int32(c.cfg.CellsPerLine), int32(act.CellsWritten)
+	o.kind, o.mode, o.rewriteAfter = opScrubRead, uint8(mode), act.Rewrite
 	c.scrubAt[b.idx] += b.scrubPeriod
 	c.minValid, c.scrubMinValid = false, false
 }
@@ -539,10 +553,7 @@ func (c *Controller) complete(b *bank) {
 			// Scrub rewrites ride the write queue (cancellable, drained
 			// behind demand traffic). WriteQueueCap backpressures only
 			// demand writes, so a full queue never stalls the walker.
-			b.writeQ.pushBack(op{
-				kind: opScrubWrite, line: o.line,
-				latencyPS: PS(c.cfg.Timing.Write), cells: o.rewriteCells, enqueuedAt: c.now,
-			})
+			b.writeQ.pushBack().setWrite(opScrubWrite, o.line, PS(c.cfg.Timing.Write), c.now, o.rewriteCells)
 		}
 	case opScrubWrite:
 		c.stats.ScrubWrites++
@@ -578,7 +589,7 @@ func (c *Controller) dispatch(b *bank, now int64) {
 	default:
 		return
 	}
-	b.inflight = q.popFront()
+	b.inflight = *q.popFront()
 	b.startedAt = now
 	// The bank was idle, so its new deadline can only lower the minimum.
 	// Its completion is the event due then if it is earlier, or tied with
@@ -610,11 +621,11 @@ func (c *Controller) maybeCancelWrite(b *bank, now int64) {
 	}
 	c.stats.Cancellations++
 	c.stats.BankBusyPS += ran
-	paused := b.inflight
-	paused.latencyPS = max(paused.latencyPS-ran, 1)
 	if c.busyUntil[b.idx] == c.minAt {
 		c.minValid = false
 	}
 	c.busyUntil[b.idx] = never
-	b.writeQ.pushFront(paused)
+	paused := b.writeQ.pushFront()
+	*paused = b.inflight
+	paused.latencyPS = max(paused.latencyPS-ran, 1)
 }

@@ -21,17 +21,17 @@ func TestOpQueueAgainstSliceOracle(t *testing.T) {
 		switch r := rng.Intn(5); {
 		case r < 2:
 			o := op{id: uint64(step), latencyPS: int64(step)}
-			q.pushBack(o)
+			*q.pushBack() = o
 			oracle = append(oracle, o)
 		case r == 2:
 			o := op{id: uint64(step), kind: opWrite}
-			q.pushFront(o)
+			*q.pushFront() = o
 			oracle = append([]op{o}, oracle...)
 		default:
 			if len(oracle) == 0 {
 				continue
 			}
-			got := q.popFront()
+			got := *q.popFront()
 			want := oracle[0]
 			oracle = oracle[1:]
 			if got != want {
@@ -44,7 +44,7 @@ func TestOpQueueAgainstSliceOracle(t *testing.T) {
 	}
 	// Drain and compare the tail.
 	for i := 0; q.len() > 0; i++ {
-		if got := q.popFront(); got != oracle[i] {
+		if got := *q.popFront(); got != oracle[i] {
 			t.Fatalf("drain %d: %+v want %+v", i, got, oracle[i])
 		}
 	}

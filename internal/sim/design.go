@@ -132,6 +132,18 @@ func (d Design) recordsScrubRewrites() bool {
 	return d.tracking() || d.Sense == SenseHybrid || d.Write == WriteLWC
 }
 
+// readsLastWrite reports whether any path of the design reads the
+// engine's per-line last full write: hybrid and tracked sensing take a
+// read's drift age from it, a scrub plan consults or advances it at every
+// visit, and Select and LWC writes choose what to program from it. A
+// design with none of these (Ideal, TLC, or any composition with R or M
+// sensing, no scrubbing and plain, TLC or LWT-tracked writes) never
+// reads the table, so the engine does not record its demand writes.
+func (d Design) readsLastWrite() bool {
+	return d.Sense == SenseHybrid || d.Sense == SenseTracked || d.Scrub.Interval > 0 ||
+		d.Write == WriteSelect || d.Write == WriteLWC
+}
+
 // lineCells is the physical line size, what a scrub rewrite programs: TLC
 // lines hold more, lower-density cells, and LWC lines carry their local
 // parities as extra MLC cells.

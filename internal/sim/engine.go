@@ -130,6 +130,9 @@ type Engine struct {
 	// recordScrubRewrites notes scrub rewrites in lastWrite even for
 	// untouched lines (Design.recordsScrubRewrites).
 	recordScrubRewrites bool
+	// recordWrites notes full demand writes in lastWrite; it is false for
+	// a design that never reads the table (Design.readsLastWrite).
+	recordWrites bool
 	// flagBits is the design's per-line tracking cost a full demand write
 	// charges (Design.flagBits), 0 for an untracked design.
 	flagBits int
@@ -143,7 +146,7 @@ type Engine struct {
 	// once, making it the hottest data structure of the run. It starts
 	// at 16 slots, or at a recycled engine's emptied table, and grows to
 	// the job's footprint; nothing iterates it, so its capacity never
-	// reaches a result.
+	// reaches a result. A design that never reads it leaves it empty.
 	lastWrite *linetable.Table
 
 	// Scrub geometry (ps).
@@ -169,6 +172,11 @@ type Engine struct {
 	// convertedLines marks lines whose tracking came from an R-M-read
 	// conversion, to measure conversion payoff.
 	convertedLines map[uint64]struct{}
+
+	// now is the event loop's clock (ps) and steps counts its steps, one
+	// per instant it handles, for the cancellation poll and maxSteps.
+	now   int64
+	steps uint64
 
 	nextID           uint64
 	reads            uint64
@@ -225,7 +233,7 @@ func Run(cfg Config, scheme Scheme) (*Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation: the event loop polls
-// ctx every few thousand iterations and aborts with ctx's error. Results
+// ctx every 8,192 steps and aborts with ctx's error. Results
 // are bit-identical to Run when ctx is never cancelled — the poll reads
 // the context without touching any simulation state.
 func RunContext(ctx context.Context, cfg Config, scheme Scheme) (*Result, error) {
@@ -315,6 +323,7 @@ func (e *Engine) init(cfg Config, scheme Scheme) error {
 	memCfg.CellsPerLine = scheme.lineCells(cfg)
 	e.lineCells = memCfg.CellsPerLine
 	e.recordScrubRewrites = scheme.recordsScrubRewrites()
+	e.recordWrites = scheme.readsLastWrite()
 	e.flagBits = scheme.flagBits()
 	if n := memCfg.TotalLines; n&(n-1) == 0 {
 		e.lineMask = n - 1
@@ -399,9 +408,13 @@ func (e *Engine) init(cfg Config, scheme Scheme) error {
 }
 
 // cancelCheckMask throttles the event loop's context poll to one check
-// every 8192 iterations — cheap against the hot path while still bounding
-// the abort latency of a cancelled request to microseconds.
+// every 8192 steps — cheap against the hot path while still bounding the
+// abort latency of a cancelled request to microseconds.
 const cancelCheckMask = 1<<13 - 1
+
+// maxSteps bounds the event loop: a run still going after this many steps
+// has stopped making progress.
+const maxSteps = 1 << 62
 
 // loop is the two-clock event loop: the CPU cluster proposes its next issue
 // time, the memory controller its next internal event; the earlier one
@@ -409,15 +422,20 @@ const cancelCheckMask = 1<<13 - 1
 // write-queue retries, then core issues in core index order. The
 // controller is advanced only when it has an event due, so on a CPU-only
 // step its clock lags until its next event; nothing reads it in between.
+//
+// A step handles one instant. While a core waits on a full write queue,
+// and at an instant where both sides have work, a step is one turn. While
+// no core is stalled the loop runs in bursts instead: the controller
+// handles its events one instant at a time up to the first instant that
+// completes a demand read, or else up to the cluster's next issue, and
+// the cores issue back to back while each next issue comes strictly
+// before the controller's next event. Each instant inside a burst is a
+// step of its own, so a run takes the same steps, and polls ctx at the
+// same instants, as it would in turns.
 func (e *Engine) loop(ctx context.Context) error {
-	const maxIters = 1 << 62
-	var now int64
-	for iter := 0; ; iter++ {
-		if iter >= maxIters {
-			return fmt.Errorf("sim: event loop did not terminate")
-		}
-		if iter&cancelCheckMask == 0 && ctx.Err() != nil {
-			return fmt.Errorf("sim: run aborted: %w", ctx.Err())
+	for {
+		if err := e.tick(ctx); err != nil {
+			return err
 		}
 		if e.cluster.AllDone() {
 			// Let in-flight work finish for accounting symmetry? The
@@ -426,43 +444,149 @@ func (e *Engine) loop(ctx context.Context) error {
 		}
 		tCPU, okCPU := e.cluster.NextActionAt()
 		tMem, okMem := e.ctrl.NextEventAt()
-		var t int64
+		var err error
 		switch {
-		case okCPU && okMem:
-			t = min(tCPU, tMem)
-		case okCPU:
-			t = tCPU
-		case okMem:
-			t = tMem
-		default:
+		case !okCPU && !okMem:
 			return fmt.Errorf("sim: deadlock: all cores blocked, memory idle")
+		case e.cluster.Stalled() || okCPU && okMem && tCPU == tMem:
+			err = e.turn(tCPU, okCPU, tMem, okMem)
+		case okMem && (!okCPU || tMem < tCPU):
+			err = e.memoryBurst(ctx, tMem, tCPU, okCPU)
+		default:
+			err = e.cpuBurst(ctx, tCPU)
 		}
-		if t < now {
-			t = now
-		}
-		progressed := t > now
-		now = t
-		completed := false
-		if okMem && tMem <= t {
-			e.comps = e.ctrl.AdvanceTo(t, e.comps)
-			for _, comp := range e.comps {
-				if err := e.cluster.OnReadComplete(comp.ID, comp.At); err != nil {
-					return err
-				}
-			}
-			completed = len(e.comps) > 0
-		}
-		// Write-queue retries only make sense once memory state changed;
-		// retrying at a frozen timestamp would spin.
-		if progressed || completed {
-			e.cluster.RetryAt(now)
-		}
-		if err := e.cluster.Step(now, e); err != nil {
+		if err != nil {
 			return err
 		}
-		if !e.warmupDone && e.cluster.TotalRetired() >= e.warmupInstr {
-			e.mark(now)
+	}
+}
+
+// tick counts one step of the loop, polling ctx at every 8192nd. It is
+// small enough to inline; the poll is not.
+func (e *Engine) tick(ctx context.Context) error {
+	if e.steps&cancelCheckMask == 0 {
+		return e.poll(ctx)
+	}
+	e.steps++
+	return nil
+}
+
+// poll is tick's every-8192nd step: it checks the step bound and ctx
+// before counting the step.
+func (e *Engine) poll(ctx context.Context) error {
+	if e.steps >= maxSteps {
+		return fmt.Errorf("sim: event loop did not terminate")
+	}
+	if ctx.Err() != nil {
+		return fmt.Errorf("sim: run aborted: %w", ctx.Err())
+	}
+	e.steps++
+	return nil
+}
+
+// turn handles the earlier of the two deadlines as one instant: memory
+// events due then, write-queue retries, then the cores due then.
+func (e *Engine) turn(tCPU int64, okCPU bool, tMem int64, okMem bool) error {
+	t := tMem
+	if !okMem || okCPU && tCPU < tMem {
+		t = tCPU
+	}
+	if t < e.now {
+		t = e.now
+	}
+	progressed := t > e.now
+	e.now = t
+	completed := false
+	if okMem && tMem <= t {
+		var err error
+		if completed, err = e.advance(t); err != nil {
+			return err
 		}
+	}
+	// Write-queue retries only make sense once memory state changed;
+	// retrying at a frozen timestamp would spin.
+	if progressed || completed {
+		e.cluster.RetryAt(t)
+	}
+	if err := e.cluster.Step(t, e); err != nil {
+		return err
+	}
+	e.checkWarmup()
+	return nil
+}
+
+// memoryBurst handles the controller's instants from tMem on, one step
+// each, while they come before the cluster's next issue tCPU (which no
+// core can move until a read completes), and ends after the first instant
+// that completes a demand read. No core waits on a full write queue, so no
+// retry is due at any of them. The warmup check still follows every
+// instant: a budget small enough to pass the warmup mark with the cores'
+// first fetches is marked at the run's first instant, which may be a
+// scrub arrival.
+func (e *Engine) memoryBurst(ctx context.Context, tMem, tCPU int64, okCPU bool) error {
+	for {
+		e.now = tMem
+		completed, err := e.advance(tMem)
+		if err != nil {
+			return err
+		}
+		e.checkWarmup()
+		if completed {
+			return nil
+		}
+		var okMem bool
+		if tMem, okMem = e.ctrl.NextEventAt(); !okMem || okCPU && tMem >= tCPU {
+			return nil
+		}
+		if err := e.tick(ctx); err != nil {
+			return err
+		}
+	}
+}
+
+// cpuBurst issues the cores due at tCPU and then at each next issue time,
+// one step each, while that time comes strictly before the controller's
+// next event (which an issue may move) and no write has stalled.
+func (e *Engine) cpuBurst(ctx context.Context, tCPU int64) error {
+	for {
+		e.now = tCPU
+		if err := e.cluster.Step(tCPU, e); err != nil {
+			return err
+		}
+		e.checkWarmup()
+		if e.cluster.Stalled() {
+			return nil
+		}
+		var okCPU bool
+		if tCPU, okCPU = e.cluster.NextActionAt(); !okCPU {
+			return nil
+		}
+		if tMem, okMem := e.ctrl.NextEventAt(); okMem && tMem <= tCPU {
+			return nil
+		}
+		if err := e.tick(ctx); err != nil {
+			return err
+		}
+	}
+}
+
+// advance runs the controller to t and hands each demand read that
+// completes to the cluster; it reports whether any did.
+func (e *Engine) advance(t int64) (bool, error) {
+	e.comps = e.ctrl.AdvanceTo(t, e.comps)
+	for _, comp := range e.comps {
+		if err := e.cluster.OnReadComplete(comp.ID, comp.At); err != nil {
+			return false, err
+		}
+	}
+	return len(e.comps) > 0, nil
+}
+
+// checkWarmup marks the warmup boundary at the first instant the cores
+// have retired the warmup budget.
+func (e *Engine) checkWarmup() {
+	if !e.warmupDone && e.cluster.TotalRetired() >= e.warmupInstr {
+		e.mark(e.now)
 	}
 }
 
@@ -592,10 +716,13 @@ func (e *Engine) Write(now int64, core int, line uint64) (bool, error) {
 	if full {
 		e.stats.fullWrites++
 		e.tel.writeFull.Inc()
-		// Every scheme records demand writes: tracking designs for the
-		// flag semantics, the rest so scrub-rewrite sampling and Hybrid's
-		// age math see correct drift clocks.
-		e.lastWrite.Put(phys, now)
+		// A design that reads the line state records demand writes:
+		// tracking designs for the flag semantics, the rest so
+		// scrub-rewrite sampling and Hybrid's age math see correct drift
+		// clocks.
+		if e.recordWrites {
+			e.lastWrite.Put(phys, now)
+		}
 		e.noteDisturbRewrite(phys)
 		if e.flagBits > 0 {
 			e.acct.AddFlagAccess(e.flagBits)

@@ -36,9 +36,9 @@ func NewGenerator(bench Benchmark, cores int, seed int64) (*Generator, error) {
 }
 
 // Reset restarts g as NewGenerator(bench, cores, seed) builds it, keeping
-// its per-core storage and re-seeding each core's stream in place; more
-// cores than g ever had start over with fresh streams. On error g is left
-// unchanged.
+// its per-core storage and re-seeding each core's stream in place, not
+// through the seed memo; more cores than g ever had start over with fresh
+// streams. On error g is left unchanged.
 func (g *Generator) Reset(bench Benchmark, cores int, seed int64) error {
 	if err := bench.Validate(); err != nil {
 		return err
@@ -57,7 +57,7 @@ func (g *Generator) Reset(bench Benchmark, cores int, seed int64) error {
 		if rng == nil {
 			rng = new(Rand)
 		}
-		rng.Reseed(coreSeed(seed, c))
+		rng.seedDirect(coreSeed(seed, c))
 		g.cores[c] = coreStream{
 			rng:      rng,
 			base:     uint64(c) << 40, // disjoint per-core slices

@@ -8,10 +8,11 @@ import (
 )
 
 // seedMemoEntries bounds the seed memo. Each entry is one freshly seeded
-// source (~4.9 KB of state), so a full memo holds ~350 KB. An engine
-// draws five streams (its own and one per core), so 64 entries hold
-// twelve job seeds; campaigns run their jobs seed → benchmark → scheme,
-// so only about as many job seeds as workers are live at once.
+// source (~4.9 KB of state), so a full memo holds ~350 KB. Only an
+// engine's own stream goes through it (a generator seeds its cores
+// directly), so 64 entries hold 64 job seeds; campaigns run their jobs
+// seed → benchmark → scheme, so only about as many job seeds as workers
+// are live at once.
 const seedMemoEntries = 64
 
 // seedMemo maps a seed to a dist.Source freshly seeded with it. Nothing
@@ -72,5 +73,18 @@ func (r *Rand) Reseed(seed int64) {
 		r.src = new(dist.Source)
 	}
 	*r.src = *memo
+	r.Rand = *rand.New(r.src)
+}
+
+// seedDirect restarts r as Reseed does, but seeds its source in place
+// instead of copying a memo entry. A generator's core streams take it:
+// their seeds recur only when a row starts again, and an engine rewinds
+// its tape instead of re-seeding a row it just ran, so storing them would
+// only push the engines' own seeds out of the memo.
+func (r *Rand) seedDirect(seed int64) {
+	if r.src == nil {
+		r.src = new(dist.Source)
+	}
+	r.src.Seed(seed)
 	r.Rand = *rand.New(r.src)
 }

@@ -106,8 +106,10 @@ func (b Benchmark) Validate() error {
 
 // SampleInitialAge draws the virtual age (time since last write, before the
 // simulation window opened) of a line the workload reads before ever
-// writing. The scrub interval s anchors the "fresh" class.
-func (b Benchmark) SampleInitialAge(s time.Duration, rng *rand.Rand) time.Duration {
+// writing. The scrub interval s anchors the "fresh" class. The simulator
+// calls it on every first-touch read, so it takes the profile by pointer
+// rather than copying it.
+func (b *Benchmark) SampleInitialAge(s time.Duration, rng *rand.Rand) time.Duration {
 	u := rng.Float64()
 	switch {
 	case u < b.FreshFrac:
